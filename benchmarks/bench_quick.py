@@ -30,11 +30,15 @@ restricted-vs-unrestricted ``eterm_checks`` A/B for the grammar-demo rows,
 and cold/warm cache counters for the suite through the batch scheduler.
 
 A ``portfolio`` block races the committed asymptotic suite
-(``specs/asymptotic_suite.json``) on two workers via the portfolio scheduler
-(:mod:`repro.portfolio`): per-goal winner rung, variants raced and losers
+(``specs/asymptotic_suite.json``) on two workers through the batch scheduler,
+whose supervisor runs each goal's bound ladder (:mod:`repro.portfolio`) as
+one job group: per-goal winner rung, variants raced and losers
 cancelled, race wall-clock vs the sequential bound-ladder walk — asserting
 that winner rungs match the spec's expectations and programs are
 byte-identical between the race and the serial walk.
+
+``src_lines`` is the total line count of ``src/repro/**/*.py``, tracked next
+to wall-clock as the code-size trajectory (reported, never guarded).
 
 ``benchmarks/check_regression.py`` compares a fresh report against the
 committed one (CI fails on >25% wall-clock regression or any program drift).
@@ -49,6 +53,7 @@ Usage::
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import platform
@@ -137,6 +142,7 @@ def run_quick() -> dict:
         "seed": BENCH_SEED,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "total_seconds": round(total, 4),
+        "src_lines": src_line_count(),
         "counters": counters,
         "rows": rows,
     }
@@ -149,6 +155,15 @@ def run_quick() -> dict:
     report["pbe"] = run_pbe()
     report["portfolio"] = run_portfolio()
     return report
+
+
+def src_line_count() -> int:
+    """Total lines of ``src/repro/**/*.py``."""
+    total = 0
+    for path in glob.glob(os.path.join(SRC, "repro", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as handle:
+            total += sum(1 for _ in handle)
+    return total
 
 
 def dump_trace_artifacts() -> None:
@@ -328,7 +343,6 @@ def run_portfolio() -> dict:
     ``sequential_ladder_seconds`` is the serial walk's wall-clock, the number
     the race's ``parallel_seconds`` is bought against.
     """
-    from repro.portfolio.runner import PortfolioRunner
     from repro.service.specs import jobs_from_spec, load_spec
 
     spec = load_spec(os.path.join(REPO_ROOT, "specs", "asymptotic_suite.json"))
@@ -338,12 +352,12 @@ def run_portfolio() -> dict:
         if not entry.get("slow")
     }
 
-    racer = PortfolioRunner(workers=2)
+    racer = BatchScheduler(workers=2)
     start = time.perf_counter()
     raced = racer.run(jobs_from_spec(spec))
     race_wall = time.perf_counter() - start
 
-    serial = PortfolioRunner(workers=1)
+    serial = BatchScheduler(workers=1)
     start = time.perf_counter()
     walked = serial.run(jobs_from_spec(spec))
     serial_wall = time.perf_counter() - start
@@ -395,7 +409,10 @@ def main() -> None:
     with open(out_path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {out_path} (total {report['total_seconds']:.2f}s)")
+    print(
+        f"wrote {out_path} (total {report['total_seconds']:.2f}s, "
+        f"src {report['src_lines']} lines)"
+    )
     for row in report["rows"]:
         print(f"  {row['benchmark']:>16s} {row['mode']:>8s} {row['seconds']:7.3f}s")
     service = report["service"]

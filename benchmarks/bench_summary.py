@@ -34,6 +34,10 @@ def render(fresh: dict, baseline: dict | None = None) -> str:
     if baseline is not None:
         ratio = _fmt_ratio(fresh.get("total_seconds", 0.0), baseline.get("total_seconds", 0.0))
         meta += f" (committed baseline {baseline.get('total_seconds', 0.0):.3f} s, ratio {ratio})"
+    if "src_lines" in fresh:
+        meta += f", `src/` **{fresh['src_lines']}** lines"
+        if baseline is not None and "src_lines" in baseline:
+            meta += f" (baseline {baseline['src_lines']})"
     lines.append(meta)
 
     lines += ["", "### Wall-clock per row", ""]

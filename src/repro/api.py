@@ -75,18 +75,18 @@ def synthesize(
         return _synthesize(goal, config, solver=solver)
 
     from repro.portfolio.bounds import compile_ladder
+    from repro.portfolio.runner import portfolio_stats
 
     ladder = compile_ladder(goal)
     total_seconds = 0.0
     result: Optional[SynthesisResult] = None
-    for rung in ladder:
+    winner: Optional[int] = None
+    for index, rung in enumerate(ladder):
         result = _synthesize(rung.goal, config, solver=solver)
         total_seconds += result.seconds
         if result.succeeded:
-            winner = rung
+            winner = index
             break
-    else:
-        winner = None
     assert result is not None  # compile_ladder never returns an empty ladder
     final = SynthesisResult(
         goal=goal,
@@ -98,13 +98,7 @@ def synthesize(
         cegis_counterexamples=result.cegis_counterexamples,
         stats=dict(result.stats),
     )
-    final.stats["portfolio"] = {
-        "bound": goal.bound,
-        "ladder": [rung.label for rung in ladder],
-        "variants_total": len(ladder),
-        "winner": winner.label if winner is not None else None,
-        "winner_index": winner.index if winner is not None else None,
-    }
+    final.stats["portfolio"] = portfolio_stats(goal.bound, [r.label for r in ladder], winner)
     return final
 
 
@@ -126,10 +120,9 @@ def run_goals(
     ``strict=False``, jobs that produced no record (cancelled, crashed,
     hard-timed-out) come back as failure results instead of raising.
     """
-    from repro.portfolio.runner import PortfolioRunner
-    from repro.service.scheduler import DEFAULT_RETRIES
+    from repro.service.scheduler import DEFAULT_RETRIES, BatchScheduler
 
-    runner = PortfolioRunner(
+    runner = BatchScheduler(
         workers=workers,
         cache=cache,
         retries=DEFAULT_RETRIES if retries is None else retries,

@@ -2,7 +2,7 @@
 
 See :mod:`repro.portfolio.bounds` for ladder compilation,
 :mod:`repro.portfolio.variants` for variant expansion,
-:mod:`repro.portfolio.runner` for the race itself, and
+:mod:`repro.portfolio.runner` for the ladder policy that decides a race, and
 :mod:`repro.portfolio.suite` for the committed asymptotic benchmark suite.
 """
 

@@ -1,12 +1,12 @@
-"""The portfolio scheduler: race goal variants, cancel losers, report one winner.
+"""The portfolio ladder policy: race goal variants, report one winner.
 
-:class:`PortfolioRunner` is a drop-in sibling of
-:class:`repro.service.scheduler.BatchScheduler`: same constructor surface,
-same ``run(jobs) -> List[JobResult]`` contract, same ``stats`` object.  Plain
-jobs are delegated to an internal ``BatchScheduler`` unchanged; jobs whose
-goal carries an asymptotic bound (a ``"bound"`` block in the wire encoding)
-are expanded into their variant list (:func:`repro.portfolio.variants.expand_goal`)
-and raced across one shared :class:`~repro.service.scheduler.WorkerPool`.
+A job whose goal carries an asymptotic bound (a ``"bound"`` block in the wire
+encoding) runs as a *job group* of the supervisor
+(:mod:`repro.service.supervisor`): its variant list
+(:func:`repro.portfolio.variants.expand_goal`) becomes indexed rung jobs
+(:func:`variant_jobs`) that share one worker pool with every other job, and
+:class:`Ladder` is the group's completion policy.  The supervisor executes;
+the ladder only decides.
 
 **The winner rule is deterministic regardless of race timing.**  Among
 successful variants the one with the lowest index wins; a variant's win is
@@ -19,9 +19,10 @@ reports exactly the winner a sequential ladder walk would, because rung
 failures are decided by bounded-search exhaustion (deterministic), not by
 timeouts (timing-dependent).
 
-``REPRO_PORTFOLIO=off`` (or ``0``/``no``/``false``) disables racing: ladders
-fall back to a sequential walk with identical winners and zero cancellations,
-and non-asymptotic workloads are untouched either way.
+``REPRO_PORTFOLIO=off`` (or ``0``/``no``/``false``), like a single worker,
+disables racing: rungs are admitted one at a time in ladder order — a
+sequential walk with identical winners and zero cancellations — and
+non-asymptotic workloads are untouched either way.
 
 Attribution is split by determinism.  The cached winner record carries a
 deterministic ``stats["portfolio"]`` block (bound class, ladder labels,
@@ -29,41 +30,25 @@ winner index) under the *logical* goal's fingerprint; how the race actually
 unfolded — per-variant outcomes, cancellations, wall-clock — is
 timing-dependent and rides on :attr:`JobResult.portfolio`, which is never
 cached (like the queue/run timings and the warm block).
+
+:data:`PortfolioRunner` is the historical name of the scheduler that runs
+such goals; it is :class:`~repro.service.scheduler.BatchScheduler` itself.
 """
 
 from __future__ import annotations
 
 import os
-import heapq
-import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics
-from repro.service.cache import ResultCache
-from repro.service.scheduler import (
-    BACKOFF_BASE,
-    BACKOFF_CAP,
-    DEFAULT_GRACE,
-    DEFAULT_RETRIES,
-    BatchScheduler,
-    Job,
-    JobResult,
-    SchedulerStats,
-    WorkerPool,
-    _execute_payload,
-    classify_failure,
-    fault_fields,
-    job_for_goal,
-    ship_faults,
-    tally_result,
-)
-from repro.service import faults
 from repro.portfolio.variants import Variant, expand_goal
+from repro.service.scheduler import BatchScheduler, Job, JobResult, job_for_goal
 
 #: Environment gate for portfolio racing (default on).
 PORTFOLIO_ENV = "REPRO_PORTFOLIO"
 _OFF_VALUES = {"0", "off", "no", "false"}
+
+#: Plain and asymptotic jobs share one scheduler.
+PortfolioRunner = BatchScheduler
 
 
 def portfolio_enabled() -> bool:
@@ -95,488 +80,146 @@ def variant_jobs(job: Job, variants: Sequence[Variant]) -> List[Job]:
     ]
 
 
-class PortfolioRunner:
-    """Race portfolio variants over a worker pool; pass plain jobs through."""
+def portfolio_stats(
+    bound: str, labels: Sequence[str], winner: Optional[int]
+) -> Dict[str, object]:
+    """The deterministic ``stats["portfolio"]`` block of a ladder's result.
 
-    def __init__(
-        self,
-        workers: int = 1,
-        cache: Optional[ResultCache] = None,
-        start_method: Optional[str] = None,
-        retries: int = DEFAULT_RETRIES,
-        grace: float = DEFAULT_GRACE,
-        backoff_base: float = BACKOFF_BASE,
-        backoff_cap: float = BACKOFF_CAP,
-        warm: bool = False,
-    ) -> None:
-        # The delegate executes plain jobs and donates its payload/completion
-        # helpers for variant execution, keeping cache-stripping semantics in
-        # exactly one place.
-        self._delegate = BatchScheduler(
-            workers=workers,
-            cache=cache,
-            start_method=start_method,
-            retries=retries,
-            grace=grace,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            warm=warm,
-        )
-        self.workers = workers
-        self.cache = cache
-        self.grace = grace
-        self.stats = SchedulerStats()
+    A pure function of the goal's ladder and the winning rung index, so it
+    is safe to cache under the logical fingerprint.
+    """
+    return {
+        "bound": bound,
+        "ladder": list(labels),
+        "variants_total": len(labels),
+        "winner": labels[winner] if winner is not None else None,
+        "winner_index": winner,
+    }
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[Job]) -> List[JobResult]:
-        """Execute ``jobs`` and return their results in submission order."""
-        start = time.perf_counter()
-        self.stats = SchedulerStats(jobs=len(jobs), workers=max(1, self.workers))
-        results: List[Optional[JobResult]] = [None] * len(jobs)
 
-        plain = [i for i, job in enumerate(jobs) if not is_portfolio_job(job)]
-        portfolio = [i for i, job in enumerate(jobs) if is_portfolio_job(job)]
+class Ladder:
+    """Completion policy of one portfolio group: the tightest success wins.
 
-        if plain:
-            for index, result in zip(plain, self._delegate.run([jobs[i] for i in plain])):
-                results[index] = result
-            self._merge_delegate_stats(self._delegate.stats)
+    Rung statuses move ``pending`` → ``queued`` → ``racing`` → ``won`` |
+    ``failed``, or end ``cancelled`` (admitted, then reclaimed) or
+    ``skipped`` (never admitted); a success above the winner ends ``lost``.
+    """
 
-        if portfolio:
-            self._run_portfolio_jobs(jobs, portfolio, results)
-
-        final: List[JobResult] = []
-        for index, job in enumerate(jobs):
-            result = results[index]
-            if result is None:
-                result = JobResult(tag=job.tag, fingerprint=job.fingerprint, cancelled=True)
-            if index in portfolio:
-                tally_result(self.stats, result)
-            final.append(result)
-        self.stats.wall_seconds = time.perf_counter() - start
-        registry = metrics.REGISTRY
-        registry.counter("service.variants_raced").inc(self.stats.variants_raced)
-        registry.counter("service.variants_cancelled").inc(self.stats.variants_cancelled)
-        return final
-
-    def run_goals(self, goals, config=None, timeout=None, strict: bool = True):
-        """Convenience wrapper mirroring :meth:`BatchScheduler.run_goals`."""
-        jobs = [job_for_goal(goal, config, timeout=timeout) for goal in goals]
-        return [
-            job_result.to_synthesis_result(goal, strict=strict)
-            for goal, job_result in zip(goals, self.run(jobs))
-        ]
-
-    # ------------------------------------------------------------------
-    # Portfolio execution
-    # ------------------------------------------------------------------
-    def _merge_delegate_stats(self, other: SchedulerStats) -> None:
-        """Fold the delegate's run stats into ours (jobs/workers already set)."""
-        for name in (
-            "cache_hits",
-            "deduplicated",
-            "synth_runs",
-            "timeouts",
-            "cancelled",
-            "errors",
-            "retries",
-            "worker_kills",
-            "hard_timeouts",
-            "poisoned",
-            "pool_rebuilds",
-            "degraded_serial",
-            "cpu_seconds",
-            "saved_seconds",
-            "queue_seconds",
-            "run_seconds",
-        ) :
-            setattr(self.stats, name, getattr(self.stats, name) + getattr(other, name))
-        self.stats.worker_utilization.update(other.worker_utilization)
-        for key, value in other.counters.items():
-            self.stats.counters[key] = self.stats.counters.get(key, 0) + value
-        if other.warm_state:
-            self.stats.warm_state.update(other.warm_state)
-
-    def _run_portfolio_jobs(
-        self,
-        jobs: Sequence[Job],
-        indices: Sequence[int],
-        results: List[Optional[JobResult]],
-    ) -> None:
-        # Cache hits and in-batch dedup on the *logical* fingerprint first.
-        pending: List[int] = []
-        primary_for: Dict[Tuple[str, Optional[float]], int] = {}
-        duplicates: Dict[int, int] = {}
-        for index in indices:
-            job = jobs[index]
-            if self.cache is not None and job.fingerprint:
-                entry = self.cache.lookup(job.fingerprint)
-                if entry is not None:
-                    self.stats.cache_hits += 1
-                    results[index] = JobResult(
-                        tag=job.tag,
-                        fingerprint=job.fingerprint,
-                        record=entry,
-                        cache_hit=True,
-                        timed_out=bool(entry.get("timed_out")),
-                    )
-                    continue
-            dedup_key = (job.fingerprint, job.timeout)
-            primary = primary_for.get(dedup_key)
-            if job.fingerprint and primary is not None:
-                duplicates[index] = primary
-                continue
-            primary_for[dedup_key] = index
-            pending.append(index)
-
-        pool: Optional[WorkerPool] = None
-        if pending and self.workers > 1 and portfolio_enabled():
-            pool = WorkerPool(size=self.workers, ctx=self._delegate._ctx, grace=self.grace)
-            if pool.start() == 0:
-                pool.stop()
-                pool = None
-        try:
-            for index in pending:
-                self.stats.synth_runs += 1
-                results[index] = self._race(jobs[index], pool)
-        finally:
-            if pool is not None:
-                self.stats.worker_kills += pool.kills
-                self.stats.pool_rebuilds += pool.rebuilds
-                pool.stop()
-
-        for index, primary in duplicates.items():
-            primary_result = results[primary]
-            assert primary_result is not None
-            self.stats.deduplicated += 1
-            results[index] = JobResult(
-                tag=jobs[index].tag,
-                fingerprint=jobs[index].fingerprint,
-                record=primary_result.record,
-                cache_hit=primary_result.cache_hit,
-                deduplicated=True,
-                timed_out=primary_result.timed_out,
-                hard_timed_out=primary_result.hard_timed_out,
-                cancelled=primary_result.cancelled,
-                error=primary_result.error,
-                portfolio=primary_result.portfolio,
-            )
-
-    def _variant_cached(self, vjob: Job) -> Optional[JobResult]:
-        if self.cache is None or not vjob.fingerprint:
-            return None
-        entry = self.cache.lookup(vjob.fingerprint)
-        if entry is None:
-            return None
-        return JobResult(
-            tag=vjob.tag,
-            fingerprint=vjob.fingerprint,
-            record=entry,
-            cache_hit=True,
-            timed_out=bool(entry.get("timed_out")),
-        )
-
-    def _run_variant_serial(self, vjob: Job) -> JobResult:
-        """Execute one variant in-process (the sequential-ladder path)."""
-        try:
-            record = _execute_payload(self._delegate._payload(vjob))
-        except Exception as exc:  # noqa: BLE001 - worker parity
-            return JobResult(
-                tag=vjob.tag, fingerprint=vjob.fingerprint, error=repr(exc), attempts=1
-            )
-        return self._delegate._complete(vjob, record)
-
-    def _race(self, job: Job, pool: Optional[WorkerPool]) -> JobResult:
-        """Race one logical portfolio job; returns the winner's result."""
+    def __init__(self, job: Job, racing: bool) -> None:
         goal = job.goal()
-        config = job.config()
-        variants = expand_goal(goal, config)
-        vjobs = variant_jobs(job, variants)
-        if pool is None:
-            resolved, run_info = self._walk_ladder(vjobs, variants)
+        self.bound = goal.bound
+        self.variants = expand_goal(goal, job.config())
+        self.jobs = variant_jobs(job, self.variants)
+        #: False walks the ladder: rung ``i+1`` is admitted once ``i`` failed.
+        self.racing = racing
+        self.statuses = ["pending"] * len(self.jobs)
+        self.resolved: Dict[int, JobResult] = {}
+        self.raced = 0
+        self.cancelled = 0
+
+    def settle(self, index: int, result: JobResult, status: Optional[str] = None) -> None:
+        self.resolved[index] = result
+        self.statuses[index] = status or ("won" if result.succeeded else "failed")
+
+    def start(self, index: int) -> bool:
+        """Mark rung ``index`` running; True the first time (it counts as raced)."""
+        if self.statuses[index] == "racing":
+            return False
+        self.statuses[index] = "racing"
+        self.raced += 1
+        return True
+
+    def winner(self) -> Optional[int]:
+        wins = [index for index, result in self.resolved.items() if result.succeeded]
+        return min(wins) if wins else None
+
+    def step(self) -> Tuple[List[int], bool]:
+        """Apply the winner rule: (admitted rungs to reclaim, race decided?)."""
+        winner = self.winner()
+        if winner is None:
+            return [], len(self.resolved) == len(self.jobs)
+        doomed = []
+        for index in range(winner + 1, len(self.jobs)):
+            if index in self.resolved:
+                continue
+            job = self.jobs[index]
+            verdict = JobResult(tag=job.tag, fingerprint=job.fingerprint, cancelled=True)
+            if self.statuses[index] == "pending":
+                # Never admitted: nothing ran, so nothing is reclaimed — the
+                # ladder simply stopped short.
+                self.settle(index, verdict, "skipped")
+            else:
+                self.settle(index, verdict, "cancelled")
+                self.cancelled += 1
+                doomed.append(index)
+        return doomed, all(index in self.resolved for index in range(winner))
+
+    def admit(self) -> List[int]:
+        """Rungs to queue now: every pending one when racing, else the
+        tightest unresolved rung (if it is not queued already)."""
+        if self.racing:
+            ready = [index for index, status in enumerate(self.statuses) if status == "pending"]
         else:
-            resolved, run_info = self._race_pool(pool, vjobs, variants)
-        return self._conclude(job, goal, variants, resolved, run_info)
+            ready = [index for index in range(len(self.jobs)) if index not in self.resolved][:1]
+            ready = [index for index in ready if self.statuses[index] == "pending"]
+        for index in ready:
+            self.statuses[index] = "queued"
+        return ready
 
-    def _walk_ladder(
-        self, vjobs: List[Job], variants: List[Variant]
-    ) -> Tuple[Dict[int, JobResult], Dict[str, object]]:
-        """Sequential fallback: walk the ladder in order, stop at first win.
-
-        Later variants are *skipped*, not cancelled — nothing was dispatched,
-        so nothing is reclaimed — and the winner is identical to the race's
-        by construction.
-        """
-        resolved: Dict[int, JobResult] = {}
-        statuses = ["skipped"] * len(vjobs)
-        raced = 0
-        for index, vjob in enumerate(vjobs):
-            result = self._variant_cached(vjob)
-            if result is None:
-                raced += 1
-                result = self._run_variant_serial(vjob)
-            resolved[index] = result
-            statuses[index] = "won" if result.succeeded else "failed"
-            if result.succeeded:
-                break
-        self.stats.variants_raced += raced
-        run_info = self._run_info("serial", variants, resolved, statuses, raced, 0)
-        return resolved, run_info
-
-    def _race_pool(
-        self, pool: WorkerPool, vjobs: List[Job], variants: List[Variant]
-    ) -> Tuple[Dict[int, JobResult], Dict[str, object]]:
-        """Race all variants on the shared pool with deterministic winners."""
-        plan = faults.plan()
-        ship = ship_faults(plan)
-        total = len(vjobs)
-        resolved: Dict[int, JobResult] = {}
-        statuses = ["pending"] * total
-        queue: Deque[int] = deque()
-        retry_heap: List[Tuple[float, int]] = []
-        attempts: Dict[int, int] = {i: 0 for i in range(total)}
-        kills: Dict[int, int] = {}
-        raced = 0
-        cancelled = 0
-
-        for index, vjob in enumerate(vjobs):
-            cached = self._variant_cached(vjob)
-            if cached is not None:
-                resolved[index] = cached
-                statuses[index] = "won" if cached.succeeded else "failed"
-            else:
-                queue.append(index)
-
-        def lowest_success() -> Optional[int]:
-            wins = [i for i, r in resolved.items() if r.succeeded]
-            return min(wins) if wins else None
-
-        def cancel_above(winner: int) -> None:
-            """Reclaim every variant that can no longer win."""
-            nonlocal cancelled
-            for index in [i for i in queue if i > winner]:
-                queue.remove(index)
-                resolved[index] = JobResult(
-                    tag=vjobs[index].tag, fingerprint=vjobs[index].fingerprint, cancelled=True
-                )
-                statuses[index] = "cancelled"
-                cancelled += 1
-            for entry in [e for e in retry_heap if e[1] > winner]:
-                retry_heap.remove(entry)
-                index = entry[1]
-                resolved[index] = JobResult(
-                    tag=vjobs[index].tag, fingerprint=vjobs[index].fingerprint, cancelled=True
-                )
-                statuses[index] = "cancelled"
-                cancelled += 1
-            for token in [t for t in pool.active_tokens() if t > winner]:
-                pool.cancel_token(token)
-                resolved[token] = JobResult(
-                    tag=vjobs[token].tag, fingerprint=vjobs[token].fingerprint, cancelled=True
-                )
-                statuses[token] = "cancelled"
-                cancelled += 1
-
-        def finish_failed(index: int, cause: str, detail: str) -> None:
-            """A worker died under this variant: poison, retry, or failure."""
-            vjob = vjobs[index]
-            kills[index] = kills.get(index, 0) + 1
-            attempts[index] += 1
-            if cause == "hang":
-                self.stats.hard_timeouts += 1
-            retry_budget = vjob.retries if vjob.retries is not None else self._delegate.retries
-            verdict = classify_failure(kills[index], attempts[index], retry_budget)
-            if verdict == "poison":
-                self.stats.poisoned += 1
-                resolved[index] = JobResult(
-                    tag=vjob.tag,
-                    fingerprint=vjob.fingerprint,
-                    error=f"poison job: killed {kills[index]} workers (last: {detail})",
-                    attempts=attempts[index],
-                )
-                statuses[index] = "failed"
-            elif verdict == "retry":
-                self.stats.retries += 1
-                delay = self._delegate._backoff(attempts[index])
-                heapq.heappush(retry_heap, (time.monotonic() + delay, index))
-            else:
-                resolved[index] = JobResult(
-                    tag=vjob.tag,
-                    fingerprint=vjob.fingerprint,
-                    timed_out=cause == "hang",
-                    hard_timed_out=cause == "hang",
-                    error=None if cause == "hang" else detail,
-                    attempts=attempts[index],
-                )
-                statuses[index] = "failed"
-
-        clock_shared = pool.clock_shared
-        while True:
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _, index = heapq.heappop(retry_heap)
-                queue.appendleft(index)
-
-            winner = lowest_success()
-            if winner is not None:
-                cancel_above(winner)
-                # The win is final once every tighter rung has resolved.
-                if all(i in resolved for i in range(winner)):
-                    break
-            if len(resolved) == total and not pool.active_count:
-                break
-            if queue and not pool.idle_count and not pool.active_count:
-                # Every worker is gone and respawn failed: degrade to running
-                # one variant inline per iteration; the winner logic above
-                # still cancels whatever becomes unnecessary.
-                index = queue.popleft()
-                if statuses[index] == "pending":
-                    raced += 1
-                resolved[index] = self._run_variant_serial(vjobs[index])
-                statuses[index] = "won" if resolved[index].succeeded else "failed"
-                continue
-
-            while pool.idle_count and queue:
-                index = queue.popleft()
-                vjob = vjobs[index]
-                payload = self._delegate._payload(vjob, clock_shared=clock_shared)
-                if ship:
-                    payload.update(
-                        fault_fields(plan, vjob.fingerprint or vjob.tag, attempts[index])
-                    )
-                if not pool.dispatch(index, payload, self._delegate._soft_timeout(vjob)):
-                    queue.appendleft(index)
-                    break
-                if statuses[index] == "pending":
-                    raced += 1
-                    statuses[index] = "racing"
-
-            if not pool.active_count:
-                if retry_heap and not queue:
-                    time.sleep(max(retry_heap[0][0] - time.monotonic(), 0.0))
-                continue
-            wait_bounds = []
-            deadline = pool.next_deadline()
-            if deadline is not None:
-                wait_bounds.append(deadline)
-            if retry_heap:
-                wait_bounds.append(retry_heap[0][0])
-            timeout = max(min(wait_bounds) - time.monotonic(), 0.0) if wait_bounds else None
-            events, _ = pool.poll(timeout)
-            for event in events:
-                index = event.token
-                if index in resolved:
-                    continue  # already cancelled or otherwise settled
-                if event.kind in ("crash", "hang"):
-                    finish_failed(index, event.kind, event.body)
-                    continue
-                attempts[index] += 1
-                if event.kind == "ok":
-                    resolved[index] = self._delegate._complete(
-                        vjobs[index], event.body, attempts=attempts[index]
-                    )
-                else:
-                    resolved[index] = JobResult(
-                        tag=vjobs[index].tag,
-                        fingerprint=vjobs[index].fingerprint,
-                        error=event.body,
-                        attempts=attempts[index],
-                    )
-                statuses[index] = "won" if resolved[index].succeeded else "failed"
-
-        winner = lowest_success()
-        for index in range(total):
-            if statuses[index] == "won" and winner is not None and index != winner:
-                statuses[index] = "lost"
-        self.stats.variants_raced += raced
-        self.stats.variants_cancelled += cancelled
-        run_info = self._run_info("race", variants, resolved, statuses, raced, cancelled)
-        return resolved, run_info
-
-    def _run_info(
-        self,
-        mode: str,
-        variants: List[Variant],
-        resolved: Dict[int, JobResult],
-        statuses: List[str],
-        raced: int,
-        cancelled: int,
-    ) -> Dict[str, object]:
-        """The timing-dependent attribution block (never cached)."""
+    def conclude(self, job: Job) -> JobResult:
+        """The logical job's result: the winner's record plus attribution."""
+        winner = self.winner()
         rows = []
-        for index, variant in enumerate(variants):
-            result = resolved.get(index)
-            row: Dict[str, object] = {
-                "index": index,
-                "label": variant.label,
-                "status": statuses[index],
-            }
+        for index, variant in enumerate(self.variants):
+            status = self.statuses[index]
+            if status == "won" and index != winner:
+                status = "lost"
+            row: Dict[str, object] = {"index": index, "label": variant.label, "status": status}
+            result = self.resolved.get(index)
             if result is not None and result.record is not None:
                 row["seconds"] = round(result.seconds, 4)
                 if result.cache_hit:
                     row["cache_hit"] = True
             rows.append(row)
-        return {
-            "mode": mode,
+        # The timing-dependent attribution block (never cached).
+        run_info: Dict[str, object] = {
+            "mode": "race" if self.racing else "serial",
             "variants": rows,
-            "variants_raced": raced,
-            "variants_cancelled": cancelled,
+            "variants_raced": self.raced,
+            "variants_cancelled": self.cancelled,
         }
-
-    def _conclude(
-        self,
-        job: Job,
-        goal,
-        variants: List[Variant],
-        resolved: Dict[int, JobResult],
-        run_info: Dict[str, object],
-    ) -> JobResult:
-        """Build the logical job's result from the race outcome."""
-        wins = sorted(i for i, r in resolved.items() if r.succeeded)
-        total_attempts = sum(r.attempts for r in resolved.values())
-        if not wins:
+        attempts = sum(result.attempts for result in self.resolved.values())
+        if winner is None:
             reasons = "; ".join(
-                f"{variants[i].label}: {resolved[i].failure_reason() or 'no program'}"
-                for i in sorted(resolved)
+                f"{self.variants[i].label}: {self.resolved[i].failure_reason() or 'no program'}"
+                for i in sorted(self.resolved)
             )
             return JobResult(
                 tag=job.tag,
                 fingerprint=job.fingerprint,
                 error=f"portfolio: no variant satisfied the bound ({reasons})",
-                attempts=total_attempts,
+                attempts=attempts,
                 portfolio=run_info,
             )
-        winner = wins[0]
-        winner_result = resolved[winner]
+        winner_result = self.resolved[winner]
+        run_info["winner"] = self.variants[winner].label
         # Sequential-ladder estimate: a ladder walk would have run exactly
         # rungs 0..winner, so their recorded seconds sum to its wall-clock.
-        sequential = sum(
-            resolved[i].seconds for i in range(winner + 1) if i in resolved
+        run_info["sequential_seconds"] = round(
+            sum(self.resolved[i].seconds for i in range(winner + 1)), 4
         )
-        run_info["winner"] = variants[winner].label
-        run_info["sequential_seconds"] = round(sequential, 4)
         record = dict(winner_result.record or {})
         stats_block = dict(record.get("stats") or {})
-        # The deterministic attribution: a pure function of the goal plus the
-        # winner index, safe to cache under the logical fingerprint.
-        stats_block["portfolio"] = {
-            "bound": goal.bound,
-            "ladder": [variant.label for variant in variants],
-            "variants_total": len(variants),
-            "winner": variants[winner].label,
-            "winner_index": winner,
-        }
+        stats_block["portfolio"] = portfolio_stats(
+            self.bound, [variant.label for variant in self.variants], winner
+        )
         record["stats"] = stats_block
-        if self.cache is not None and job.fingerprint and not winner_result.timed_out:
-            self.cache.store(job.fingerprint, record)
         return JobResult(
             tag=job.tag,
             fingerprint=job.fingerprint,
             record=record,
             timed_out=winner_result.timed_out,
-            attempts=total_attempts,
+            attempts=attempts,
             queue_seconds=winner_result.queue_seconds,
             run_seconds=winner_result.run_seconds,
             worker_pid=winner_result.worker_pid,

@@ -1,6 +1,6 @@
 """Expanding one logical goal into a deterministic list of race variants.
 
-A *variant* is a concrete ``(goal, config)`` pair the portfolio scheduler can
+A *variant* is a concrete ``(goal, config)`` pair the supervisor can
 race against the others.  Expansion is a pure function of the logical goal and
 base configuration — the variant list, its order, and every label are
 deterministic, because the variant order doubles as the winner priority
@@ -19,7 +19,7 @@ Expansion strategies, all tightest-variant-first:
 * :func:`relax_variants` — race cost-bound relaxations of the search
   configuration (tightest depth caps first).
 
-:func:`expand_goal` is the dispatcher the runner and server use: asymptotic
+:func:`expand_goal` is the dispatcher the ladder policy uses: asymptotic
 goals expand into their ladder, anything else stays a single variant.
 """
 

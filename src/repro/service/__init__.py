@@ -10,10 +10,13 @@ layer every scaling PR (sharding, async APIs, multi-backend) builds on:
   (goal, component library, configuration) triples;
 * :mod:`repro.service.cache` — a persistent content-addressed result cache
   keyed by those fingerprints;
-* :mod:`repro.service.scheduler` — a job scheduler that fans goals out over a
-  supervised worker pool with per-job soft timeouts *and* parent-enforced
-  hard deadlines, crash retry with backoff, poison-job detection,
-  cancellation and deterministic result collection;
+* :mod:`repro.service.scheduler` — jobs, results and the supervised worker
+  pool, plus :class:`BatchScheduler`, which fans goals out over it and
+  collects results deterministically;
+* :mod:`repro.service.supervisor` — the one scheduling loop behind batch
+  runs, portfolio races and the server: per-job soft timeouts *and*
+  parent-enforced hard deadlines, crash retry with backoff, poison-job
+  detection, cache, dedup and cancellation;
 * :mod:`repro.service.faults` — deterministic fault injection (worker
   crash/hang, cache corruption, spawn failure) for chaos-testing the above;
 * :mod:`repro.service.specs` — declarative goal specifications (JSON/TOML)

@@ -35,7 +35,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.portfolio.runner import PortfolioRunner, is_portfolio_job
 from repro.service.cache import open_cache
 from repro.service.scheduler import DEFAULT_GRACE, DEFAULT_RETRIES, BatchScheduler, JobResult
 from repro.service.specs import export_table_spec, jobs_from_spec, load_spec, write_spec
@@ -74,12 +73,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.cache
         else None
     )
-    # Specs with asymptotic goals go through the portfolio runner, which
-    # races each goal's bound ladder; plain specs keep the exact batch path.
-    scheduler_cls = (
-        PortfolioRunner if any(is_portfolio_job(job) for job in jobs) else BatchScheduler
-    )
-    scheduler = scheduler_cls(
+    # Asymptotic goals race their bound ladders on the same pool.
+    scheduler = BatchScheduler(
         workers=args.jobs,
         cache=cache,
         retries=args.retries,

@@ -18,45 +18,26 @@ because fault tolerance needs powers ``Pool`` does not grant: killing exactly
 one hung worker, noticing exactly which job died with a crashed one, and
 respawning either without losing the rest of the batch.
 
-Failure semantics (see also ``docs/ARCHITECTURE.md``):
-
-* **soft timeout** — enforced *inside* the worker through the synthesizer's
-  own deadline checks; a cooperating job returns a clean no-solution record;
-* **hard deadline** — the parent independently enforces ``soft timeout +
-  grace`` per job; a worker that blows through it (a SAT loop that stopped
-  polling, an injected hang) is killed and respawned, and the job is marked
-  ``hard_timed_out`` once its retry budget is spent;
-* **crash recovery** — a worker that dies mid-job (crash, OOM kill) is
-  respawned and the job retried with deterministic capped exponential
-  backoff, up to ``retries`` attempts;
-* **poison jobs** — a job that kills its worker ``POISON_KILLS`` times
-  becomes an error result instead of retrying forever;
-* **pool breakage** — every lost worker is respawned (a pool rebuild); if no
-  worker can be (re)spawned at all, the remaining jobs gracefully degrade to
-  the in-process serial backend;
-* **cancellation** — :meth:`BatchScheduler.cancel` (or ``KeyboardInterrupt``
-  during :meth:`~BatchScheduler.run`) kills the pool and marks every
-  unfinished job cancelled, returning the partial results collected so far.
-
-Scheduling features carried over from the batch-service PR: cache integration
-(fingerprint hits skip synthesis; fresh results are persisted) and in-batch
-fingerprint deduplication.  ``workers <= 1`` runs jobs in-process with
-identical semantics — that is the baseline the determinism tests compare the
-pool against.  Worker-level fault injection (``worker.crash``/``worker.hang``
-from :mod:`repro.service.faults`) only applies to pool workers: in-process
-execution has no process boundary to kill.
+This module holds the primitives: the job/result types, the worker entry
+point and the :class:`WorkerPool`.  Every scheduling decision on top of them
+— retries with backoff, poison verdicts, cache, dedup, portfolio ladders,
+serial fallback, cancellation — is made by the one
+:class:`~repro.service.supervisor.Supervisor`; :class:`BatchScheduler` is
+its submit-all-and-drain front end (failure semantics in
+``docs/ARCHITECTURE.md``).  Worker-level fault injection
+(``worker.crash``/``worker.hang`` from :mod:`repro.service.faults`) only
+applies to pool workers: in-process execution has no process boundary to
+kill.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
 from repro.core.goals import SynthesisGoal, SynthesisResult
@@ -88,28 +69,11 @@ def _summable(key: str, value: object) -> bool:
     return isinstance(value, (int, float)) and not key.endswith(("_rate", "_avg_core_size"))
 
 
-def ship_faults(plan: faults.FaultPlan) -> bool:
-    """Whether payloads need the fault plan shipped to the child at all."""
-    return plan.active and (
-        plan.rate(faults.WORKER_CRASH) > 0 or plan.rate(faults.WORKER_HANG) > 0
-    )
-
-
-def fault_fields(plan: faults.FaultPlan, key: str, attempt: int) -> dict:
-    """Payload fields a worker needs to decide its own injected faults."""
-    return {
-        "faults": plan.to_spec(),
-        "faults_seed": plan.seed,
-        "fault_key": key,
-        "attempt": attempt,
-    }
-
-
 def classify_failure(kills: int, attempts: int, retry_budget: int) -> str:
     """Shared worker-loss verdict: ``poison`` | ``retry`` | ``final``.
 
-    Used by both the batch scheduler and the long-running server so a job
-    that keeps killing workers is handled identically in either mode.
+    Decided in one place (the supervisor) for batch runs, portfolio rungs
+    and the long-running server alike.
     """
     if kills >= POISON_KILLS:
         return "poison"
@@ -320,6 +284,21 @@ class SchedulerStats:
         }
 
 
+def job_payload(job: Job, warm: bool = False, submitted: Optional[float] = None) -> dict:
+    """The payload :func:`_execute_payload` decodes (the one payload builder).
+
+    ``submitted`` is the monotonic submission stamp.  Pass it only when both
+    ends share one clock domain (in-process, or fork on Linux); under spawn
+    it is omitted so queue wait reports 0.0 instead of garbage.
+    """
+    payload = {"goal": job.goal_json, "config": job.config_json, "timeout": job.timeout}
+    if warm:
+        payload["warm"] = True
+    if submitted is not None:
+        payload["submitted"] = submitted
+    return payload
+
+
 def _execute_payload(payload: dict) -> dict:
     """Worker entry point: decode, synthesize, return a plain record.
 
@@ -452,8 +431,7 @@ class _Worker:
 class _Active:
     """Bookkeeping for a job currently executing on a worker."""
 
-    #: Caller-supplied dispatch token (the batch scheduler uses job indices,
-    #: the server uses request-scoped job handles).
+    #: Caller-supplied dispatch token (the supervisor's unit handle).
     token: object
     started: float
     #: Parent-enforced kill time (monotonic), None when the job has no soft
@@ -475,15 +453,13 @@ class PoolEvent:
 class WorkerPool:
     """A supervised pool of long-lived synthesis workers.
 
-    Extracted from :meth:`BatchScheduler._run_pool` so a long-running server
-    (:mod:`repro.service.serve`) can keep the *same* pool resident across
-    requests — preserving each worker's warm solver state — while the batch
-    scheduler keeps creating one per run.  The pool owns process lifecycle
-    only: spawn (the ``pool.spawn`` fault point), dispatch, crash detection,
-    parent-enforced hard deadlines, kill + respawn.  Retry budgets, poison
-    verdicts and result bookkeeping stay with the caller, which is what makes
-    the failure semantics identical in batch and server mode
-    (:func:`classify_failure`).
+    A long-running server (:mod:`repro.service.serve`) keeps one pool
+    resident across requests — preserving each worker's warm solver state —
+    while the batch scheduler creates one per run.  The pool owns process
+    lifecycle only: spawn (the ``pool.spawn`` fault point), dispatch, crash
+    detection, parent-enforced hard deadlines, kill + respawn.  Retry
+    budgets, poison verdicts and result bookkeeping belong to the
+    :class:`~repro.service.supervisor.Supervisor`.
     """
 
     def __init__(self, size: int, ctx=None, grace: float = DEFAULT_GRACE) -> None:
@@ -527,9 +503,6 @@ class WorkerPool:
     def active_count(self) -> int:
         return len(self._active)
 
-    def worker_pids(self) -> List[int]:
-        return sorted(worker.pid for worker in self._workers)
-
     def _try_spawn(self) -> Optional[_Worker]:
         """One spawn attempt (the ``pool.spawn`` fault point); None on failure."""
         seq = self._spawn_seq
@@ -541,10 +514,9 @@ class WorkerPool:
         except OSError:
             return None
 
-    def start(self, want: Optional[int] = None) -> int:
-        """Spawn up to ``size`` (or ``want``) workers; returns the live count."""
-        target = self.size if want is None else min(self.size, want)
-        for _ in range(max(target - len(self._workers), 0)):
+    def start(self) -> int:
+        """Spawn up to ``size`` workers; returns the live count."""
+        for _ in range(self.size - len(self._workers)):
             worker = self._try_spawn()
             if worker is not None:
                 self._workers.append(worker)
@@ -589,21 +561,17 @@ class WorkerPool:
         self._active[worker] = _Active(token, now, deadline)
         return True
 
-    def active_tokens(self) -> List[object]:
-        """Tokens of jobs currently executing (for shutdown accounting)."""
-        return [entry.token for entry in self._active.values()]
-
     def cancel_token(self, token: object) -> bool:
         """Kill the worker executing ``token`` and spawn a replacement.
 
-        Used by the portfolio scheduler to reclaim a worker from a losing
+        Used by the supervisor to reclaim a worker from a losing portfolio
         variant the moment a higher-priority variant succeeds.  The kill is
         counted under :attr:`cancels` (not :attr:`kills`) and no event is
         emitted for the token — the caller already decided the job's fate.
         Returns ``False`` if ``token`` is not currently active.
         """
         for worker, entry in list(self._active.items()):
-            if entry.token == token:
+            if entry.token is token:
                 del self._active[worker]
                 if worker in self._workers:
                     self._workers.remove(worker)
@@ -684,7 +652,12 @@ class WorkerPool:
 
 
 class BatchScheduler:
-    """Schedules synthesis jobs over a worker pool, with optional caching."""
+    """Schedules synthesis jobs over a worker pool, with optional caching.
+
+    Plain and asymptotic jobs alike: :meth:`run` submits every job to one
+    :class:`~repro.service.supervisor.Supervisor` and drains it on the
+    caller's thread, so portfolio rungs and plain jobs share one pool.
+    """
 
     def __init__(
         self,
@@ -720,7 +693,6 @@ class BatchScheduler:
         self._ctx = multiprocessing.get_context(start_method)
         self.stats = SchedulerStats()
         self._cancelled = False
-        self._busy: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -730,83 +702,59 @@ class BatchScheduler:
         self._cancelled = True
 
     def run(self, jobs: Sequence[Job]) -> List[JobResult]:
-        """Execute ``jobs`` and return their results in submission order."""
+        """Execute ``jobs`` and return their results in submission order.
+
+        ``KeyboardInterrupt`` or :meth:`cancel` stops the run: the results
+        collected so far come back, the unfinished jobs marked cancelled.
+        """
+        # Imported here: the supervisor builds on this module's primitives.
+        from repro.service.supervisor import Supervisor
+
         start = time.perf_counter()
         self._cancelled = False
-        self.stats = SchedulerStats(jobs=len(jobs), workers=max(1, self.workers))
-        self._busy: Dict[int, float] = {}
-        results: List[Optional[JobResult]] = [None] * len(jobs)
-
-        pending: List[int] = []
-        primary_for: Dict[Tuple[str, Optional[float]], int] = {}
-        duplicates: Dict[int, int] = {}
-        for index, job in enumerate(jobs):
-            if self.cache is not None and job.fingerprint:
-                entry = self.cache.lookup(job.fingerprint)
-                if entry is not None:
-                    self.stats.cache_hits += 1
-                    results[index] = JobResult(
-                        tag=job.tag,
-                        fingerprint=job.fingerprint,
-                        record=entry,
-                        cache_hit=True,
-                        timed_out=bool(entry.get("timed_out")),
-                    )
-                    continue
-            # Deduplicate on (fingerprint, timeout): the per-job timeout is not
-            # part of the fingerprint (it does not change what a *successful*
-            # synthesis produces), but it does decide whether a job times out,
-            # so jobs with different budgets must not share one execution.
-            dedup_key = (job.fingerprint, job.timeout)
-            primary = primary_for.get(dedup_key)
-            if job.fingerprint and primary is not None:
-                duplicates[index] = primary
-                continue
-            primary_for[dedup_key] = index
-            pending.append(index)
-
-        self.stats.synth_runs = len(pending)
-        if pending:
-            if self.workers <= 1:
-                self._run_serial(jobs, pending, results)
-            else:
-                self._run_pool(jobs, pending, results)
-
-        for index, primary in duplicates.items():
-            primary_result = results[primary]
-            assert primary_result is not None
-            self.stats.deduplicated += 1
-            results[index] = JobResult(
-                tag=jobs[index].tag,
-                fingerprint=jobs[index].fingerprint,
-                record=primary_result.record,
-                cache_hit=primary_result.cache_hit,
-                deduplicated=True,
-                timed_out=primary_result.timed_out,
-                hard_timed_out=primary_result.hard_timed_out,
-                cancelled=primary_result.cancelled,
-                error=primary_result.error,
-            )
-
-        final: List[JobResult] = []
-        for index, job in enumerate(jobs):
-            result = results[index]
-            if result is None:  # cancelled before execution
-                result = JobResult(tag=job.tag, fingerprint=job.fingerprint, cancelled=True)
-            self._tally(result)
-            final.append(result)
+        self.stats = SchedulerStats(workers=max(1, self.workers))
+        supervisor = Supervisor(
+            self.stats,
+            workers=self.workers,
+            cache=self.cache,
+            retries=self.retries,
+            backoff_base=self.backoff_base,
+            backoff_cap=self.backoff_cap,
+            warm=self.warm,
+        )
+        groups = [supervisor.submit(job, seq=index) for index, job in enumerate(jobs)]
+        busy = supervisor.busy_seconds
+        pool = None
+        try:
+            if self.workers > 1 and supervisor.queue_depth:
+                # Sized by dispatchable units (ladder rungs), not logical jobs.
+                size = min(self.workers, supervisor.queue_depth)
+                pool = supervisor.pool = WorkerPool(size=size, ctx=self._ctx, grace=self.grace)
+                pool.start()
+            while supervisor.busy() and not self._cancelled:
+                supervisor.step()
+        except KeyboardInterrupt:
+            self._cancelled = True
+        finally:
+            supervisor.cancel_all()  # whatever is still open was cancelled
+            if pool is not None:
+                self.stats.worker_kills += pool.kills
+                self.stats.pool_rebuilds += pool.rebuilds
+                for pid, seconds in pool.busy_charges.items():
+                    busy[pid] = busy.get(pid, 0.0) + seconds
+                pool.stop()
         self.stats.wall_seconds = time.perf_counter() - start
-        if self._busy and self.stats.wall_seconds > 0:
+        if busy and self.stats.wall_seconds > 0:
             # Label workers w0..wN by sorted PID so the mapping is stable
             # within a run (PIDs themselves are not comparable across runs).
             self.stats.worker_utilization = {
-                f"w{slot}": round(min(self._busy[pid] / self.stats.wall_seconds, 1.0), 4)
-                for slot, pid in enumerate(sorted(self._busy))
+                f"w{slot}": round(min(busy[pid] / self.stats.wall_seconds, 1.0), 4)
+                for slot, pid in enumerate(sorted(busy))
             }
         self._record_metrics()
         if self.cache is not None:
             self.cache.record_run_telemetry(self.stats.as_dict())
-        return final
+        return [group.result for group in groups]
 
     def _record_metrics(self) -> None:
         """Mirror this run's scheduling traffic into the metrics registry."""
@@ -822,6 +770,8 @@ class BatchScheduler:
         registry.counter("service.poisoned").inc(self.stats.poisoned)
         registry.counter("service.pool_rebuilds").inc(self.stats.pool_rebuilds)
         registry.counter("service.degraded_serial").inc(self.stats.degraded_serial)
+        registry.counter("service.variants_raced").inc(self.stats.variants_raced)
+        registry.counter("service.variants_cancelled").inc(self.stats.variants_cancelled)
         registry.histogram("service.queue_seconds").observe(self.stats.queue_seconds)
         registry.histogram("service.run_seconds").observe(self.stats.run_seconds)
         registry.gauge("service.workers").set(self.stats.workers)
@@ -845,242 +795,9 @@ class BatchScheduler:
             for goal, job_result in zip(goals, self.run(jobs))
         ]
 
-    # ------------------------------------------------------------------
-    # Execution backends
-    # ------------------------------------------------------------------
     def _payload(self, job: Job, clock_shared: bool = True) -> dict:
-        payload = {
-            "goal": job.goal_json,
-            "config": job.config_json,
-            "timeout": job.timeout,
-        }
-        if self.warm:
-            payload["warm"] = True
-        # The submission stamp is only cross-comparable when both ends share
-        # one monotonic clock domain (in-process, or fork on Linux); under
-        # spawn it is omitted so queue wait reports 0.0, not garbage.
-        if clock_shared:
-            payload["submitted"] = time.monotonic()
-        return payload
-
-    def _soft_timeout(self, job: Job) -> Optional[float]:
-        """The effective soft budget anchoring the parent's hard deadline."""
-        config_timeout = job.config_json.get("timeout")
-        soft = job.timeout
-        if config_timeout is not None:
-            soft = config_timeout if soft is None else min(soft, config_timeout)
-        return soft
-
-    def _job_retries(self, job: Job) -> int:
-        return job.retries if job.retries is not None else self.retries
-
-    def _fold_pool(self, pool: WorkerPool) -> None:
-        """Fold one run's pool lifecycle counters into the scheduler stats."""
-        self.stats.worker_kills += pool.kills
-        self.stats.pool_rebuilds += pool.rebuilds
-        for pid, seconds in pool.busy_charges.items():
-            self._busy[pid] = self._busy.get(pid, 0.0) + seconds
-
-    def _backoff(self, attempt: int) -> float:
-        """Deterministic capped exponential backoff before retry ``attempt``."""
-        return min(self.backoff_base * (2 ** max(attempt - 1, 0)), self.backoff_cap)
-
-    def _complete(self, job: Job, record: dict, attempts: int = 1) -> JobResult:
-        # Scheduling timings and the warm counter block are properties of
-        # *this run*, not of the fingerprinted job — strip them before the
-        # record reaches the cache so entries stay byte-identical across runs
-        # (and across warm/cold executions).
-        queue_seconds = float(record.pop("queue_seconds", 0.0))
-        run_seconds = float(record.pop("run_seconds", 0.0))
-        warm_block = record.pop("warm", None)
-        result = JobResult(
-            tag=job.tag,
-            fingerprint=job.fingerprint,
-            record=record,
-            timed_out=bool(record.get("timed_out")),
-            attempts=attempts,
-            queue_seconds=queue_seconds,
-            run_seconds=run_seconds,
-            worker_pid=int(record.get("worker_pid", 0)),
-            warm=warm_block,
-        )
-        # Timed-out results are clock- and machine-dependent, not properties
-        # of the fingerprinted payload — persisting them would make a later
-        # run with a generous budget report the stale failure forever.
-        if self.cache is not None and job.fingerprint and not result.timed_out:
-            self.cache.store(job.fingerprint, record)
-        return result
-
-    def _run_serial(
-        self, jobs: Sequence[Job], pending: Sequence[int], results: List[Optional[JobResult]]
-    ) -> None:
-        for index in pending:
-            if self._cancelled:
-                results[index] = JobResult(
-                    tag=jobs[index].tag, fingerprint=jobs[index].fingerprint, cancelled=True
-                )
-                continue
-            try:
-                record = _execute_payload(self._payload(jobs[index]))
-            except KeyboardInterrupt:
-                # Same semantics as the pool backend: stop, mark the rest
-                # cancelled, and let run() return the partial results.
-                self._cancelled = True
-                results[index] = JobResult(
-                    tag=jobs[index].tag, fingerprint=jobs[index].fingerprint, cancelled=True
-                )
-            except Exception as exc:  # noqa: BLE001 - worker parity
-                results[index] = JobResult(
-                    tag=jobs[index].tag,
-                    fingerprint=jobs[index].fingerprint,
-                    error=repr(exc),
-                    attempts=1,
-                )
-            else:
-                results[index] = self._complete(jobs[index], record)
-
-    # -- supervised pool ---------------------------------------------------
-    def _run_pool(
-        self, jobs: Sequence[Job], pending: List[int], results: List[Optional[JobResult]]
-    ) -> None:
-        plan = faults.plan()
-        ship = ship_faults(plan)
-
-        pool = WorkerPool(
-            size=min(self.workers, len(pending)), ctx=self._ctx, grace=self.grace
-        )
-        if pool.start() == 0:
-            # Pool creation failed outright: degrade to the serial backend.
-            self._fold_pool(pool)
-            pool.stop()
-            self.stats.degraded_serial = 1
-            metrics.REGISTRY.counter("service.pool_fallbacks").inc()
-            self._run_serial(jobs, pending, results)
-            return
-        clock_shared = pool.clock_shared
-
-        queue: Deque[int] = deque(pending)
-        retry_heap: List[Tuple[float, int]] = []
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        kills: Dict[int, int] = {}
-
-        def finish_failed(index: int, cause: str, detail: str) -> None:
-            """A worker died under this job: poison, retry, or final failure."""
-            job = jobs[index]
-            kills[index] = kills.get(index, 0) + 1
-            attempts[index] += 1
-            if cause == "hang":
-                self.stats.hard_timeouts += 1
-            verdict = classify_failure(kills[index], attempts[index], self._job_retries(job))
-            if verdict == "poison":
-                self.stats.poisoned += 1
-                results[index] = JobResult(
-                    tag=job.tag,
-                    fingerprint=job.fingerprint,
-                    error=f"poison job: killed {kills[index]} workers (last: {detail})",
-                    attempts=attempts[index],
-                )
-            elif verdict == "retry":
-                self.stats.retries += 1
-                delay = self._backoff(attempts[index])
-                heapq.heappush(retry_heap, (time.monotonic() + delay, index))
-            elif cause == "hang":
-                results[index] = JobResult(
-                    tag=job.tag,
-                    fingerprint=job.fingerprint,
-                    timed_out=True,
-                    hard_timed_out=True,
-                    attempts=attempts[index],
-                )
-            else:
-                results[index] = JobResult(
-                    tag=job.tag,
-                    fingerprint=job.fingerprint,
-                    error=detail,
-                    attempts=attempts[index],
-                )
-
-        def dispatch_ready() -> None:
-            while pool.idle_count and queue:
-                index = queue.popleft()
-                job = jobs[index]
-                payload = self._payload(job, clock_shared=clock_shared)
-                if ship:
-                    payload.update(
-                        fault_fields(plan, job.fingerprint or job.tag, attempts[index])
-                    )
-                if not pool.dispatch(index, payload, self._soft_timeout(job)):
-                    # The worker died while idle — not the job's fault: the
-                    # pool replaced it; put the job back at the head.
-                    queue.appendleft(index)
-
-        try:
-            while queue or retry_heap or pool.active_count:
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, index = heapq.heappop(retry_heap)
-                    queue.appendleft(index)
-                if self._cancelled:
-                    break
-                dispatch_ready()
-                if not pool.active_count:
-                    if not queue and not retry_heap:
-                        break
-                    if retry_heap and not queue:
-                        # Nothing running; sleep until the next retry is due.
-                        time.sleep(max(retry_heap[0][0] - time.monotonic(), 0.0))
-                        continue
-                    if queue and not pool.idle_count:
-                        break  # every worker is gone; drain serially below
-                    continue
-                wait_bounds = []
-                deadline = pool.next_deadline()
-                if deadline is not None:
-                    wait_bounds.append(deadline)
-                if retry_heap:
-                    wait_bounds.append(retry_heap[0][0])
-                timeout = (
-                    max(min(wait_bounds) - time.monotonic(), 0.0) if wait_bounds else None
-                )
-                events, _ = pool.poll(timeout)
-                for event in events:
-                    index = event.token
-                    if event.kind in ("crash", "hang"):
-                        finish_failed(index, event.kind, event.body)
-                        continue
-                    attempts[index] += 1
-                    if event.kind == "ok":
-                        results[index] = self._complete(
-                            jobs[index], event.body, attempts=attempts[index]
-                        )
-                    else:
-                        results[index] = JobResult(
-                            tag=jobs[index].tag,
-                            fingerprint=jobs[index].fingerprint,
-                            error=event.body,
-                            attempts=attempts[index],
-                        )
-        except KeyboardInterrupt:
-            self._cancelled = True
-        finally:
-            self._fold_pool(pool)
-            pool.stop()
-
-        if not self._cancelled:
-            remaining = sorted(set(queue) | {index for _, index in retry_heap})
-            remaining = [index for index in remaining if results[index] is None]
-            if remaining:
-                # The pool could not be rebuilt; degrade to the serial
-                # backend for whatever is left instead of dropping it.
-                self.stats.degraded_serial = 1
-                metrics.REGISTRY.counter("service.pool_fallbacks").inc()
-                self._run_serial(jobs, remaining, results)
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    def _tally(self, result: JobResult) -> None:
-        tally_result(self.stats, result, self._busy)
+        """The worker payload for ``job`` as submitted now."""
+        return job_payload(job, self.warm, time.monotonic() if clock_shared else None)
 
 
 def tally_result(

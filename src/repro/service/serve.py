@@ -13,25 +13,22 @@ Architecture — one supervisor thread, any number of front-ends::
 
     asyncio event loop (HTTP / stdin NDJSON)        supervisor thread
     ----------------------------------------        -----------------------
-    submit(job, emit) ──► inbox queue ── wake pipe ─► admit: cache / dedup /
-    events ◄── loop.call_soon_threadsafe ◄── emit      poison-memory check
-                                                    dispatch ─► WorkerPool
-                                                    poll: ok/error/crash/hang
+    submit(job, emit) ──► inbox queue ── wake pipe ─► Supervisor.submit
+    events ◄── loop.call_soon_threadsafe ◄── emit      Supervisor.step ─►
+                                                      WorkerPool
 
-The supervisor owns *all* mutable scheduling state (queue, retries, in-flight
-dedup, stats), so there is exactly one writer thread; front-ends only enqueue
-submissions and receive events through thread-safe callbacks.  The wake pipe
-joins the pool's ``connection.wait`` set so a new submission interrupts an
-idle (or long) wait immediately.
-
-All of the batch scheduler's failure semantics stay live across requests —
-the same :func:`~repro.service.scheduler.classify_failure` verdicts drive
-hard deadlines (kill at soft timeout + grace), crash retry with deterministic
-backoff, and poison detection.  Poison memory is keyed by fingerprint and
-survives the request that triggered it: a job that already killed
-``POISON_KILLS`` workers is refused on resubmission instead of being allowed
-to take down more of the pool.  Cache quarantine lives on disk, so it
-survives requests (and server restarts) for free.
+The server thread only moves inbox submissions into the
+:class:`~repro.service.supervisor.Supervisor` and steps it with the wake pipe
+as an extra waitable, so a new submission interrupts an idle (or long) wait
+immediately.  The supervisor owns *all* mutable scheduling state (queue,
+retries, in-flight dedup, poison memory, stats) on that one thread — the
+same code a batch run drains — so every failure semantic of a batch run
+(hard deadlines, crash retry with backoff, poison detection, portfolio
+races) is live across requests.  Its poison memory lives as long as the
+server: a job that already killed ``POISON_KILLS`` workers is refused on
+resubmission instead of being allowed to take down more of the pool.  Cache
+quarantine lives on disk, so it survives requests (and server restarts) for
+free.  Admission control and HTTP stay here.
 
 Per-job progress streams as events through the ``emit`` callback, in
 guaranteed order per job: ``queued`` → (``started`` | ``retry``)* →
@@ -44,46 +41,37 @@ environment runs the same pool cold, which is how CI proves it).
 from __future__ import annotations
 
 import asyncio
-import heapq
 import json
 import os
 import queue as queue_mod
 import sys
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import metrics, trace
-from repro.service import faults, warm
+from repro.service import warm
 from repro.service.codec import CodecError, config_from_wire, goal_from_json
 from repro.service.scheduler import (
     BACKOFF_BASE,
     BACKOFF_CAP,
     DEFAULT_GRACE,
     DEFAULT_RETRIES,
-    POISON_KILLS,
     Job,
     JobResult,
     SchedulerStats,
     WorkerPool,
-    _execute_payload,
-    classify_failure,
-    fault_fields,
     job_for_goal,
-    ship_faults,
-    tally_result,
 )
 from repro.service.specs import jobs_from_spec, validate_spec
-from repro.portfolio.runner import is_portfolio_job, portfolio_enabled, variant_jobs
-from repro.portfolio.variants import Variant, expand_goal
-
-Emit = Callable[[dict], None]
+from repro.service.supervisor import Emit, Group, Supervisor
 
 #: Default cap on submitted-but-unfinished jobs (generous: admission control
 #: exists to bound memory under pathological clients, not to throttle use).
 DEFAULT_MAX_PENDING = 256
+#: Largest request body read (bytes); a larger Content-Length gets 413.  The
+#: committed specs are tens of kilobytes.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class AdmissionFullError(RuntimeError):
@@ -98,47 +86,6 @@ class AdmissionFullError(RuntimeError):
             f"admission queue full: {pending} jobs pending (max {max_pending})"
         )
         self.retry_after = retry_after
-
-
-@dataclass
-class _ServerJob:
-    """One submitted job's lifetime inside the server."""
-
-    seq: int
-    job: Job
-    emit: Emit
-    submitted: float
-    attempts: int = 0
-    #: Worker kills charged to this submission when it has no fingerprint
-    #: (fingerprinted jobs use the server-wide poison memory instead).
-    kills: int = 0
-    #: Dedup followers: same (fingerprint, timeout) submitted while this one
-    #: is in flight; they receive a copy of its result.
-    followers: List["_ServerJob"] = field(default_factory=list)
-    #: Portfolio race state when this is a *logical* asymptotic job; its
-    #: concrete rungs run as internal child jobs that report back here.
-    portfolio: Optional["_PortfolioState"] = None
-    #: Set on child jobs only: the logical job this variant belongs to.
-    parent: Optional["_ServerJob"] = None
-    variant_index: int = -1
-    variant_label: str = ""
-
-
-@dataclass
-class _PortfolioState:
-    """The supervisor-side race of one logical portfolio job."""
-
-    bound: str
-    #: Whether variants race concurrently (False: sequential ladder walk via
-    #: lazy admission — rung ``i+1`` is queued only once rung ``i`` failed).
-    racing: bool
-    variants: List[Variant]
-    children: List["_ServerJob"] = field(default_factory=list)
-    resolved: Dict[int, JobResult] = field(default_factory=dict)
-    statuses: List[str] = field(default_factory=list)
-    raced: int = 0
-    cancelled: int = 0
-    done: bool = False
 
 
 def result_summary(result: JobResult) -> dict:
@@ -224,10 +171,7 @@ class SynthesisServer:
             raise ValueError("max_pending must be positive")
         self.workers = workers
         self.cache = cache
-        self.retries = retries
         self.grace = grace
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Warm execution is the server's default; REPRO_WARM=off in the
         #: environment (inherited by forked workers) is the escape hatch the
         #: byte-identity A/B guard uses.
@@ -236,31 +180,31 @@ class SynthesisServer:
         self.stats = SchedulerStats(workers=workers)
         self.started_at: Optional[float] = None
         self._pool: Optional[WorkerPool] = None
+        #: Its poison memory lives as long as the server; the pool joins at
+        #: start().
+        self._supervisor = Supervisor(
+            self.stats,
+            workers=workers,
+            cache=cache,
+            retries=retries,
+            backoff_base=backoff_base,
+            backoff_cap=backoff_cap,
+            warm=warm_workers,
+            on_finish=self._finished,
+        )
         self._thread: Optional[threading.Thread] = None
         self._inbox: "queue_mod.Queue[Tuple[str, object]]" = queue_mod.Queue()
         self._wake_r, self._wake_w = os.pipe()
         self._lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         self._seq = 0
         self._draining = False
         self._stopped = threading.Event()
         self._idle = threading.Event()
         self._idle.set()
-        self._queue_depth = 0
-        self._busy: Dict[int, float] = {}
         #: Bounded admission: submitted-but-unfinished logical jobs.
         self.max_pending = max_pending
         self._pending = 0
         self._admission_rejected = 0
-        #: Supervisor-owned queue/retry-heap, published so the portfolio
-        #: machinery (which runs on the supervisor thread) can cancel queued
-        #: variants.  Only the supervisor thread touches them.
-        self._sv_queue: Optional[Deque[_ServerJob]] = None
-        self._sv_retry: Optional[List[Tuple[float, int, _ServerJob]]] = None
-        #: Fingerprint → workers killed, across every request this server has
-        #: served.  This is what makes poison detection *survive* requests: a
-        #: poison job resubmitted later is refused, not re-executed.
-        self._poison_kills: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -272,7 +216,9 @@ class SynthesisServer:
             self._start_method
             or ("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
         )
-        self._pool = WorkerPool(size=self.workers, ctx=ctx, grace=self.grace)
+        self._pool = self._supervisor.pool = WorkerPool(
+            size=self.workers, ctx=ctx, grace=self.grace
+        )
         if self._pool.start() == 0:
             # No worker could spawn: stay up, run jobs inline (degraded).
             self.stats.degraded_serial = 1
@@ -329,9 +275,7 @@ class SynthesisServer:
             self._seq += 1
             seq = self._seq
         self._idle.clear()
-        self._inbox.put(
-            ("submit", _ServerJob(seq=seq, job=job, emit=emit, submitted=time.monotonic()))
-        )
+        self._inbox.put(("submit", (job, seq, emit, time.monotonic())))
         self._wake()
         metrics.REGISTRY.counter("serve.jobs_submitted").inc()
         return seq
@@ -347,7 +291,8 @@ class SynthesisServer:
     # ------------------------------------------------------------------
     def stats_dict(self) -> dict:
         pool = self._pool
-        with self._stats_lock:
+        supervisor = self._supervisor
+        with supervisor.lock:
             scheduler = self.stats.as_dict()
         if pool is not None:
             scheduler["worker_kills"] = pool.kills
@@ -359,13 +304,11 @@ class SynthesisServer:
                 "uptime_seconds": round(uptime, 4),
                 "workers": self.workers,
                 "workers_live": pool.live_count if pool is not None else 0,
-                "queue_depth": self._queue_depth,
+                "queue_depth": supervisor.queue_depth,
                 "active_jobs": pool.active_count if pool is not None else 0,
                 "warm": bool(self.warm_workers and warm.env_allows()),
                 "draining": self._draining,
-                "poison_fingerprints": sum(
-                    1 for kills in self._poison_kills.values() if kills >= POISON_KILLS
-                ),
+                "poison_fingerprints": supervisor.poisoned_fingerprints(),
                 "admission": {
                     "max_pending": self.max_pending,
                     "pending": self._pending,
@@ -379,18 +322,13 @@ class SynthesisServer:
         return payload
 
     # ------------------------------------------------------------------
-    # Supervisor thread: the only writer of scheduling state
+    # Supervisor thread: moves submissions in, steps the supervisor
     # ------------------------------------------------------------------
     def _supervise(self) -> None:
+        supervisor = self._supervisor
         pool = self._pool
         assert pool is not None
-        queue: Deque[_ServerJob] = deque()
-        retry_heap: List[Tuple[float, int, _ServerJob]] = []
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob] = {}
-        self._sv_queue = queue
-        self._sv_retry = retry_heap
         shutdown = False
-        drain = True
         try:
             while True:
                 while True:
@@ -399,95 +337,27 @@ class SynthesisServer:
                     except queue_mod.Empty:
                         break
                     if op == "submit":
-                        self._admit(arg, queue, inflight)
+                        job, seq, emit, submitted = arg
+                        supervisor.submit(job, seq=seq, emit=emit, submitted=submitted)
                     else:  # shutdown
                         shutdown = True
-                        drain = bool(arg)
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, _, sjob = heapq.heappop(retry_heap)
-                    queue.appendleft(sjob)
-                if shutdown and not drain:
-                    # Portfolio parents first: marking their races done makes
-                    # the child cancellations below settle as no-ops instead
-                    # of re-entering the race state machine.
-                    for sjob in list(inflight.values()):
-                        if sjob.portfolio is not None and not sjob.portfolio.done:
-                            sjob.portfolio.done = True
-                            self._finish(
-                                sjob,
-                                JobResult(
-                                    tag=sjob.job.tag,
-                                    fingerprint=sjob.job.fingerprint,
-                                    cancelled=True,
-                                ),
-                                inflight,
-                            )
-                    # Cancel queued + pending-retry work; active jobs are
-                    # killed with the pool below but still get an event.
-                    for sjob in list(queue) + [item[2] for item in retry_heap]:
-                        self._finish(
-                            sjob,
-                            JobResult(
-                                tag=sjob.job.tag,
-                                fingerprint=sjob.job.fingerprint,
-                                cancelled=True,
-                                attempts=sjob.attempts,
-                            ),
-                            inflight,
-                        )
-                    queue.clear()
-                    retry_heap.clear()
-                    for sjob in pool.active_tokens():
-                        self._finish(
-                            sjob,
-                            JobResult(
-                                tag=sjob.job.tag,
-                                fingerprint=sjob.job.fingerprint,
-                                cancelled=True,
-                                attempts=sjob.attempts + 1,
-                            ),
-                            inflight,
-                        )
-                    break
-                if pool.live_count == 0 and queue:
-                    # Degraded mode: no worker could ever spawn — execute in
-                    # the supervisor thread so the server stays useful.
-                    self.stats.degraded_serial = 1
-                    self._run_inline(queue.popleft(), inflight)
-                    continue
-                while pool.idle_count and queue:
-                    sjob = queue.popleft()
-                    if not self._dispatch(sjob):
-                        queue.appendleft(sjob)
-                self._queue_depth = len(queue) + len(retry_heap)
-                busy = bool(pool.active_count or queue or retry_heap)
-                if not busy:
+                        if not arg:
+                            # Every open job gets a cancelled result; active
+                            # ones die with the pool below.
+                            supervisor.cancel_all()
+                            return
+                if not supervisor.busy():
                     if self._inbox.empty():
                         self._idle.set()
                     if shutdown:
                         break
-                bounds = []
-                deadline = pool.next_deadline()
-                if deadline is not None:
-                    bounds.append(deadline)
-                if retry_heap:
-                    bounds.append(retry_heap[0][0])
-                timeout = max(min(bounds) - time.monotonic(), 0.0) if bounds else None
-                events, ready_extra = pool.poll(timeout, extra=[self._wake_r])
-                if ready_extra:
+                if supervisor.step(extra=[self._wake_r]):
                     try:
                         os.read(self._wake_r, 4096)
                     except OSError:
                         pass
-                for event in events:
-                    sjob = event.token
-                    if event.kind in ("crash", "hang"):
-                        self._job_failed(sjob, event.kind, event.body, retry_heap, inflight)
-                    else:
-                        self._job_done(sjob, event.kind, event.body, inflight)
         finally:
-            with self._stats_lock:
+            with supervisor.lock:
                 self.stats.worker_kills = pool.kills
                 self.stats.pool_rebuilds = pool.rebuilds
             pool.stop()
@@ -495,528 +365,20 @@ class SynthesisServer:
             self._stopped.set()
             trace.event("serve.stop")
 
-    def _emit(self, sjob: _ServerJob, event: dict) -> None:
-        try:
-            sjob.emit(event)
-        except Exception:  # noqa: BLE001 - a dead client must not kill serving
-            pass
-
-    def _admit(
-        self,
-        sjob: _ServerJob,
-        queue: Deque[_ServerJob],
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        job = sjob.job
-        with self._stats_lock:
-            self.stats.jobs += 1
-        self._emit(
-            sjob,
-            {"event": "queued", "id": sjob.seq, "tag": job.tag, "fingerprint": job.fingerprint},
-        )
-        kills = self._poison_kills.get(job.fingerprint, 0) if job.fingerprint else 0
-        if kills >= POISON_KILLS:
-            with self._stats_lock:
-                self.stats.poisoned += 1
-            self._finish(
-                sjob,
-                JobResult(
-                    tag=job.tag,
-                    fingerprint=job.fingerprint,
-                    error=(
-                        f"poison job: killed {kills} workers in this server's lifetime; "
-                        "refusing to re-execute"
-                    ),
-                ),
-                inflight,
-            )
-            return
-        if self.cache is not None and job.fingerprint:
-            entry = self.cache.lookup(job.fingerprint)
-            if entry is not None:
-                with self._stats_lock:
-                    self.stats.cache_hits += 1
-                self._finish(
-                    sjob,
-                    JobResult(
-                        tag=job.tag,
-                        fingerprint=job.fingerprint,
-                        record=entry,
-                        cache_hit=True,
-                        timed_out=bool(entry.get("timed_out")),
-                    ),
-                    inflight,
-                )
-                return
-        key = (job.fingerprint, job.timeout)
-        primary = inflight.get(key) if job.fingerprint else None
-        if primary is not None:
-            with self._stats_lock:
-                self.stats.deduplicated += 1
-            primary.followers.append(sjob)
-            return
-        inflight[key] = sjob
-        with self._stats_lock:
-            self.stats.synth_runs += 1
-        if is_portfolio_job(job):
-            self._expand_portfolio(sjob, queue, inflight)
-        else:
-            queue.append(sjob)
-
-    def _payload(self, sjob: _ServerJob) -> dict:
-        job = sjob.job
-        payload = {"goal": job.goal_json, "config": job.config_json, "timeout": job.timeout}
-        if self.warm_workers:
-            payload["warm"] = True
-        if self._pool is not None and self._pool.clock_shared:
-            payload["submitted"] = sjob.submitted
-        plan = faults.plan()
-        if ship_faults(plan):
-            payload.update(
-                fault_fields(plan, sjob.job.fingerprint or sjob.job.tag, sjob.attempts)
-            )
-        return payload
-
-    def _soft_timeout(self, job: Job) -> Optional[float]:
-        config_timeout = job.config_json.get("timeout")
-        soft = job.timeout
-        if config_timeout is not None:
-            soft = config_timeout if soft is None else min(soft, config_timeout)
-        return soft
-
-    def _emit_started(self, sjob: _ServerJob) -> None:
-        """Emit ``started`` — or ``variant_started`` for a portfolio child."""
-        if sjob.parent is not None:
-            state = sjob.parent.portfolio
-            if state is not None and state.statuses[sjob.variant_index] != "racing":
-                state.statuses[sjob.variant_index] = "racing"
-                state.raced += 1
-                with self._stats_lock:
-                    self.stats.variants_raced += 1
-            self._emit(
-                sjob,
-                {
-                    "event": "variant_started",
-                    "id": sjob.seq,
-                    "variant": sjob.variant_index,
-                    "label": sjob.variant_label,
-                    "attempt": sjob.attempts + 1,
-                },
-            )
-            return
-        self._emit(sjob, {"event": "started", "id": sjob.seq, "attempt": sjob.attempts + 1})
-
-    def _dispatch(self, sjob: _ServerJob) -> bool:
-        assert self._pool is not None
-        if not self._pool.dispatch(sjob, self._payload(sjob), self._soft_timeout(sjob.job)):
-            return False
-        self._emit_started(sjob)
-        return True
-
-    def _run_inline(
-        self, sjob: _ServerJob, inflight: Dict[Tuple[str, Optional[float]], _ServerJob]
-    ) -> None:
-        self._emit_started(sjob)
-        try:
-            record = _execute_payload(self._payload(sjob))
-        except Exception as exc:  # noqa: BLE001 - worker parity
-            sjob.attempts += 1
-            self._finish(
-                sjob,
-                JobResult(
-                    tag=sjob.job.tag,
-                    fingerprint=sjob.job.fingerprint,
-                    error=repr(exc),
-                    attempts=sjob.attempts,
-                ),
-                inflight,
-            )
-            return
-        self._job_done(sjob, "ok", record, inflight)
-
-    def _job_done(
-        self,
-        sjob: _ServerJob,
-        kind: str,
-        body: object,
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        sjob.attempts += 1
-        job = sjob.job
-        if kind == "ok":
-            record = body
-            queue_seconds = float(record.pop("queue_seconds", 0.0))
-            run_seconds = float(record.pop("run_seconds", 0.0))
-            warm_block = record.pop("warm", None)
-            result = JobResult(
-                tag=job.tag,
-                fingerprint=job.fingerprint,
-                record=record,
-                timed_out=bool(record.get("timed_out")),
-                attempts=sjob.attempts,
-                queue_seconds=queue_seconds,
-                run_seconds=run_seconds,
-                worker_pid=int(record.get("worker_pid", 0)),
-                warm=warm_block,
-            )
-            if self.cache is not None and job.fingerprint and not result.timed_out:
-                self.cache.store(job.fingerprint, record)
-        else:
-            result = JobResult(
-                tag=job.tag, fingerprint=job.fingerprint, error=body, attempts=sjob.attempts
-            )
-        self._finish(sjob, result, inflight)
-
-    def _job_failed(
-        self,
-        sjob: _ServerJob,
-        cause: str,
-        detail: str,
-        retry_heap: List[Tuple[float, int, _ServerJob]],
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        job = sjob.job
-        sjob.attempts += 1
-        if job.fingerprint:
-            self._poison_kills[job.fingerprint] = self._poison_kills.get(job.fingerprint, 0) + 1
-            kills = self._poison_kills[job.fingerprint]
-        else:
-            sjob.kills += 1
-            kills = sjob.kills
-        if cause == "hang":
-            with self._stats_lock:
-                self.stats.hard_timeouts += 1
-        retry_budget = job.retries if job.retries is not None else self.retries
-        verdict = classify_failure(kills, sjob.attempts, retry_budget)
-        if verdict == "retry":
-            with self._stats_lock:
-                self.stats.retries += 1
-            delay = min(self.backoff_base * (2 ** max(sjob.attempts - 1, 0)), self.backoff_cap)
-            self._emit(
-                sjob,
-                {
-                    "event": "retry",
-                    "id": sjob.seq,
-                    "attempt": sjob.attempts,
-                    "cause": cause,
-                    "detail": detail,
-                },
-            )
-            heapq.heappush(retry_heap, (time.monotonic() + delay, sjob.seq, sjob))
-            return
-        if verdict == "poison":
-            with self._stats_lock:
-                self.stats.poisoned += 1
-            result = JobResult(
-                tag=job.tag,
-                fingerprint=job.fingerprint,
-                error=f"poison job: killed {kills} workers (last: {detail})",
-                attempts=sjob.attempts,
-            )
-        elif cause == "hang":
-            result = JobResult(
-                tag=job.tag,
-                fingerprint=job.fingerprint,
-                timed_out=True,
-                hard_timed_out=True,
-                attempts=sjob.attempts,
-            )
-        else:
-            result = JobResult(
-                tag=job.tag, fingerprint=job.fingerprint, error=detail, attempts=sjob.attempts
-            )
-        self._finish(sjob, result, inflight)
-
-    def _finish(
-        self,
-        sjob: _ServerJob,
-        result: JobResult,
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        if sjob.parent is not None:
-            # A portfolio child settles into its parent's race instead of
-            # being tallied and reported as a job of its own.
-            self._variant_finished(sjob, result, inflight)
-            return
-        key = (sjob.job.fingerprint, sjob.job.timeout)
-        if inflight.get(key) is sjob:
-            del inflight[key]
-        with self._stats_lock:
-            tally_result(self.stats, result, self._busy)
+    def _finished(self, group: Group) -> None:
+        """Supervisor callback: one submitted job is done; stream its result."""
+        result = group.result
         with self._lock:
-            self._pending = max(0, self._pending - 1 - len(sjob.followers))
+            self._pending = max(0, self._pending - 1)
         metrics.REGISTRY.counter("serve.jobs_completed").inc()
         trace.event(
             "serve.job.done", tag=result.tag, ok=result.succeeded, attempts=result.attempts
         )
-        self._emit(sjob, {"event": "result", "id": sjob.seq, **result_summary(result)})
-        for follower in sjob.followers:
-            copy = JobResult(
-                tag=follower.job.tag,
-                fingerprint=follower.job.fingerprint,
-                record=result.record,
-                cache_hit=result.cache_hit,
-                deduplicated=True,
-                timed_out=result.timed_out,
-                hard_timed_out=result.hard_timed_out,
-                cancelled=result.cancelled,
-                error=result.error,
-            )
-            with self._stats_lock:
-                tally_result(self.stats, copy, self._busy)
-            self._emit(follower, {"event": "result", "id": follower.seq, **result_summary(copy)})
-        sjob.followers = []
-
-    # ------------------------------------------------------------------
-    # Portfolio races (supervisor thread only)
-    # ------------------------------------------------------------------
-    def _expand_portfolio(
-        self,
-        parent: _ServerJob,
-        queue: Deque[_ServerJob],
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        """Expand a logical asymptotic job into child variant jobs.
-
-        Children carry the parent's seq (events refer to the logical job) and
-        report back through :meth:`_variant_finished`; they bypass dedup and
-        the pending cap — they are internal work, not submissions.
-        """
-        job = parent.job
-        goal = job.goal()
-        config = job.config()
-        variants = expand_goal(goal, config)
-        state = _PortfolioState(
-            bound=goal.bound,
-            racing=self.workers > 1 and portfolio_enabled(),
-            variants=variants,
-            statuses=["pending"] * len(variants),
-        )
-        parent.portfolio = state
-        for variant, vjob in zip(variants, variant_jobs(job, variants)):
-            state.children.append(
-                _ServerJob(
-                    seq=parent.seq,
-                    job=vjob,
-                    emit=parent.emit,
-                    submitted=parent.submitted,
-                    parent=parent,
-                    variant_index=variant.index,
-                    variant_label=variant.label,
-                )
-            )
-        # Pre-resolve from server-lifetime poison memory and the cache, so a
-        # warm re-run never re-dispatches anything.
-        for index, child in enumerate(state.children):
-            fingerprint = child.job.fingerprint
-            kills = self._poison_kills.get(fingerprint, 0) if fingerprint else 0
-            if kills >= POISON_KILLS:
-                state.resolved[index] = JobResult(
-                    tag=child.job.tag,
-                    fingerprint=fingerprint,
-                    error=(
-                        f"poison job: killed {kills} workers in this server's "
-                        "lifetime; refusing to re-execute"
-                    ),
-                )
-                state.statuses[index] = "failed"
-                continue
-            if self.cache is not None and fingerprint:
-                entry = self.cache.lookup(fingerprint)
-                if entry is not None:
-                    cached = JobResult(
-                        tag=child.job.tag,
-                        fingerprint=fingerprint,
-                        record=entry,
-                        cache_hit=True,
-                        timed_out=bool(entry.get("timed_out")),
-                    )
-                    state.resolved[index] = cached
-                    state.statuses[index] = "won" if cached.succeeded else "failed"
-        if state.racing:
-            for index, child in enumerate(state.children):
-                if index not in state.resolved:
-                    state.statuses[index] = "queued"
-                    queue.append(child)
-        self._portfolio_evaluate(parent, queue, inflight)
-
-    def _variant_finished(
-        self,
-        child: _ServerJob,
-        result: JobResult,
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        parent = child.parent
-        assert parent is not None and parent.portfolio is not None
-        state = parent.portfolio
-        index = child.variant_index
-        if state.done or index in state.resolved:
-            return  # already cancelled or otherwise settled
-        state.resolved[index] = result
-        state.statuses[index] = "won" if result.succeeded else "failed"
-        trace.event(
-            "serve.variant.done", tag=result.tag, ok=result.succeeded, variant=index
-        )
-        assert self._sv_queue is not None
-        self._portfolio_evaluate(parent, self._sv_queue, inflight)
-
-    def _portfolio_evaluate(
-        self,
-        parent: _ServerJob,
-        queue: Deque[_ServerJob],
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        """Advance one race: cancel losers, conclude, or admit the next rung."""
-        state = parent.portfolio
-        assert state is not None
-        if state.done:
-            return
-        wins = sorted(i for i, r in state.resolved.items() if r.succeeded)
-        if wins:
-            winner = wins[0]
-            self._portfolio_cancel_above(parent, winner, queue)
-            # The win is final only once every tighter rung has failed.
-            if all(i in state.resolved for i in range(winner)):
-                self._portfolio_conclude(parent, winner, inflight)
-            return
-        if len(state.resolved) == len(state.children):
-            self._portfolio_conclude(parent, None, inflight)
-            return
-        if not state.racing:
-            # Sequential ladder: admit the tightest rung not yet admitted.
-            for index, child in enumerate(state.children):
-                if index in state.resolved:
-                    continue
-                if state.statuses[index] == "pending":
-                    state.statuses[index] = "queued"
-                    queue.append(child)
-                break
-
-    def _portfolio_cancel_above(
-        self, parent: _ServerJob, winner: int, queue: Deque[_ServerJob]
-    ) -> None:
-        """Reclaim every variant that can no longer win, queued or active."""
-        state = parent.portfolio
-        assert state is not None
-        retry_heap = self._sv_retry if self._sv_retry is not None else []
-        removed_retry = False
-        for index in range(winner + 1, len(state.children)):
-            if index in state.resolved:
-                continue
-            child = state.children[index]
-            verdict = JobResult(
-                tag=child.job.tag, fingerprint=child.job.fingerprint, cancelled=True
-            )
-            if state.statuses[index] == "pending":
-                # Serial mode: the rung was never admitted — nothing ran, so
-                # nothing was cancelled; the ladder simply stopped short.
-                state.resolved[index] = verdict
-                state.statuses[index] = "skipped"
-                continue
-            if child in queue:
-                queue.remove(child)
-            for entry in [e for e in retry_heap if e[2] is child]:
-                retry_heap.remove(entry)
-                removed_retry = True
-            if self._pool is not None:
-                self._pool.cancel_token(child)
-            state.resolved[index] = verdict
-            state.statuses[index] = "cancelled"
-            state.cancelled += 1
-            with self._stats_lock:
-                self.stats.variants_cancelled += 1
-            self._emit(
-                parent,
-                {
-                    "event": "variant_cancelled",
-                    "id": parent.seq,
-                    "variant": index,
-                    "label": child.variant_label,
-                },
-            )
-        if removed_retry:
-            heapq.heapify(retry_heap)
-
-    def _portfolio_conclude(
-        self,
-        parent: _ServerJob,
-        winner: Optional[int],
-        inflight: Dict[Tuple[str, Optional[float]], _ServerJob],
-    ) -> None:
-        """Build the logical job's result from the race outcome and finish."""
-        state = parent.portfolio
-        assert state is not None
-        state.done = True
-        job = parent.job
-        rows = []
-        for index, variant in enumerate(state.variants):
-            status = state.statuses[index]
-            if status == "won" and winner is not None and index != winner:
-                status = "lost"
-            row: Dict[str, object] = {
-                "index": index,
-                "label": variant.label,
-                "status": status,
-            }
-            result = state.resolved.get(index)
-            if result is not None and result.record is not None:
-                row["seconds"] = round(result.seconds, 4)
-                if result.cache_hit:
-                    row["cache_hit"] = True
-            rows.append(row)
-        run_info: Dict[str, object] = {
-            "mode": "race" if state.racing else "serial",
-            "variants": rows,
-            "variants_raced": state.raced,
-            "variants_cancelled": state.cancelled,
-        }
-        total_attempts = sum(r.attempts for r in state.resolved.values())
-        if winner is None:
-            reasons = "; ".join(
-                f"{state.variants[i].label}: "
-                f"{state.resolved[i].failure_reason() or 'no program'}"
-                for i in sorted(state.resolved)
-            )
-            final = JobResult(
-                tag=job.tag,
-                fingerprint=job.fingerprint,
-                error=f"portfolio: no variant satisfied the bound ({reasons})",
-                attempts=total_attempts,
-                portfolio=run_info,
-            )
-            self._finish(parent, final, inflight)
-            return
-        winner_result = state.resolved[winner]
-        run_info["winner"] = state.variants[winner].label
-        run_info["sequential_seconds"] = round(
-            sum(state.resolved[i].seconds for i in range(winner + 1) if i in state.resolved),
-            4,
-        )
-        record = dict(winner_result.record or {})
-        stats_block = dict(record.get("stats") or {})
-        stats_block["portfolio"] = {
-            "bound": state.bound,
-            "ladder": [variant.label for variant in state.variants],
-            "variants_total": len(state.variants),
-            "winner": state.variants[winner].label,
-            "winner_index": winner,
-        }
-        record["stats"] = stats_block
-        if self.cache is not None and job.fingerprint and not winner_result.timed_out:
-            self.cache.store(job.fingerprint, record)
-        final = JobResult(
-            tag=job.tag,
-            fingerprint=job.fingerprint,
-            record=record,
-            timed_out=winner_result.timed_out,
-            attempts=total_attempts,
-            queue_seconds=winner_result.queue_seconds,
-            run_seconds=winner_result.run_seconds,
-            worker_pid=winner_result.worker_pid,
-            warm=winner_result.warm,
-            portfolio=run_info,
-        )
-        self._finish(parent, final, inflight)
+        if group.emit is not None:
+            try:
+                group.emit({"event": "result", "id": group.seq, **result_summary(result)})
+            except Exception:  # noqa: BLE001 - a dead client must not kill serving
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +392,14 @@ def _http_response(status: str, payload: dict, extra_headers: str = "") -> bytes
         f"HTTP/1.1 {status}\r\nContent-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n{extra_headers}Connection: close\r\n\r\n"
     ).encode() + body
+
+
+class _RequestError(Exception):
+    """A request the server answers with an error status instead of reading."""
+
+    def __init__(self, status: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 async def _read_request(reader) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
@@ -1048,7 +418,15 @@ async def _read_request(reader) -> Optional[Tuple[str, str, Dict[str, str], byte
         name, _, value = hline.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
     body = b""
-    length = int(headers.get("content-length") or 0)
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _RequestError("400 Bad Request", f"invalid Content-Length {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise _RequestError(
+            "413 Payload Too Large",
+            f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+        )
     if length:
         body = await reader.readexactly(length)
     return method, path, headers, body
@@ -1111,7 +489,12 @@ async def _handle_connection(
     server: SynthesisServer, reader, writer, stop_event: asyncio.Event
 ) -> None:
     try:
-        request = await _read_request(reader)
+        try:
+            request = await _read_request(reader)
+        except _RequestError as exc:
+            writer.write(_http_response(exc.status, {"error": str(exc)}))
+            await writer.drain()
+            return
         if request is None:
             return
         method, path, _, body = request

@@ -121,6 +121,22 @@ class TestExpansion:
         assert not is_portfolio_job(job_for_goal(tiny_goal(), tiny_config()))
 
 
+class TestLadderPolicy:
+    def test_serial_walk_admits_tighter_rungs_below_a_cached_win(self):
+        from repro.portfolio.runner import Ladder
+        from repro.service.scheduler import JobResult
+
+        (job,) = bench_jobs(("asym_length",))
+        ladder = Ladder(job, racing=False)
+        won = JobResult(tag="rung2", fingerprint="", record={"program": "cached"})
+        ladder.settle(2, won)  # e.g. a cache hit on a slacker rung
+        doomed, decided = ladder.step()
+        assert doomed == [] and not decided
+        assert ladder.statuses[3] == "skipped"
+        # The win is not final until rungs 0 and 1 resolve: walk from rung 0.
+        assert ladder.admit() == [0]
+
+
 class TestDeterminism:
     """Winner and program are independent of race timing and worker count."""
 
@@ -174,6 +190,40 @@ class TestCancellation:
             time.sleep(0.05)
         assert not multiprocessing.active_children()
 
+    @pytest.mark.parametrize("how", ["keyboard_interrupt", "cancel"])
+    def test_mid_run_cancellation_returns_partial_results(self, how, monkeypatch):
+        """Ctrl-C (or cancel()) during a pool run of plain and asymptotic jobs
+        returns one result per job, the unfinished ones marked cancelled."""
+        from conftest import tiny_config, tiny_goal
+        from repro.service.scheduler import WorkerPool
+
+        jobs = [job_for_goal(tiny_goal(f"plain{i}"), tiny_config()) for i in range(2)]
+        jobs += bench_jobs(("asym_length", "asym_triple"))
+        runner = PortfolioRunner(workers=2)
+        real_poll = WorkerPool.poll
+        polls = []
+
+        def interrupted_poll(pool, timeout, extra=()):
+            polls.append(timeout)
+            if len(polls) == 2:  # after the plain jobs, while the ladders race
+                if how == "cancel":
+                    runner.cancel()
+                    return [], []
+                raise KeyboardInterrupt
+            return real_poll(pool, timeout, extra)
+
+        monkeypatch.setattr(WorkerPool, "poll", interrupted_poll)
+        results = runner.run(jobs)
+        assert [result.tag for result in results] == [job.tag for job in jobs]
+        unfinished = [result for result in results if result.record is None]
+        assert unfinished and all(result.cancelled for result in unfinished)
+        assert all(result.cancelled for result in results[2:])
+        assert runner.stats.cancelled == len(unfinished)
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not multiprocessing.active_children()
+
     def test_every_variant_is_attributed(self):
         runner = PortfolioRunner(workers=2)
         (result,) = runner.run(bench_jobs(("asym_length",)))
@@ -200,6 +250,15 @@ class TestCacheIdentity:
         assert warm.cache_hit
         assert warm.program_text == cold.program_text
         assert warm_runner.stats.synth_runs == 0
+
+    def test_cached_run_records_telemetry(self, tmp_path):
+        from repro.service.cache import ResultCache
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        PortfolioRunner(workers=2, cache=cache).run(bench_jobs(("asym_is_empty",)))
+        last = cache.telemetry()["last_run"]["scheduler"]
+        assert last["jobs"] == 1
+        assert last["variants_raced"] >= 1
 
     def test_bound_and_ladder_enter_the_fingerprint(self):
         bench = benchmark_by_key("asym_length")

@@ -220,6 +220,29 @@ class TestHTTP:
         assert cache["shards"] == 4
         assert len(cache["per_shard"]) >= 4
 
+    def test_malformed_content_length_gets_an_error_status(self, warm_server):
+        import socket
+
+        from repro.service.serve import MAX_BODY_BYTES
+
+        def raw_status(length):
+            with socket.create_connection((warm_server.host, warm_server.port), 10) as sock:
+                sock.sendall(
+                    f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            status_line, _, rest = reply.partition(b"\r\n")
+            assert b"error" in rest, reply
+            return int(status_line.split()[1])
+
+        assert raw_status("abc") == 400
+        assert raw_status("-5") == 400
+        assert raw_status(MAX_BODY_BYTES + 1) == 413
+        status, body = get_json(warm_server, "/healthz")
+        assert status == 200 and body == {"ok": True}
+
     def test_jobs_from_wire_rejects_non_object(self):
         from repro.service.codec import CodecError
 
@@ -409,6 +432,19 @@ class TestPortfolio:
         assert replay["cache_hit"]
         assert replay["program"] == first[0]["program"]
         assert not [e for e in replay_events if e["event"] == "variant_started"]
+
+    def test_dedup_follower_keeps_the_race_attribution(self):
+        # No cache: the twin can only be a follower of the in-flight race (or,
+        # should the leader finish first, run a race of its own).
+        handle = serve_in_thread(workers=2)
+        try:
+            events = post_jobs(handle, [asym_entry("asym_length"), asym_entry("asym_length")])
+        finally:
+            handle.stop()
+        first, second = results_of(events)
+        assert first["ok"] and second["ok"]
+        assert first["program"] == second["program"]
+        assert first["portfolio"]["winner"] == second["portfolio"]["winner"]
 
     def test_no_variant_jobs_leak_into_server_tallies(self):
         handle = serve_in_thread(workers=2)
