@@ -30,37 +30,15 @@ the same Python object.  This gives three things the synthesis hot path needs:
 * downstream caches (SMT encodings, validity results, CEGIS groundings) can be
   keyed on term identity and stay coherent across queries.
 
-Interning can be switched off with :func:`set_interning` (used by the
-regression tests that compare the cached and uncached pipelines).
+Interning is an invariant, not a mode: there is no uncached construction path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.logic.sorts import BOOL, DATA, INT, SET, Sort
-
-
-_INTERNING = True
-_TERM_CLASSES: List[type] = []
-
-
-def set_interning(enabled: bool) -> None:
-    """Globally enable/disable hash-consing of term constructors."""
-    global _INTERNING
-    _INTERNING = bool(enabled)
-
-
-def interning_enabled() -> bool:
-    return _INTERNING
-
-
-def clear_term_caches() -> None:
-    """Drop all intern tables and the substitution memo (test hygiene)."""
-    for cls in _TERM_CLASSES:
-        cls._intern_table.clear()
-    _SUBST_CACHE.clear()
 
 
 class _TermMeta(type):
@@ -76,12 +54,9 @@ class _TermMeta(type):
     def __init__(cls, name: str, bases: tuple, namespace: dict) -> None:
         super().__init__(name, bases, namespace)
         cls._intern_table: Dict[object, object] = {}
-        _TERM_CLASSES.append(cls)
 
     def __call__(cls, *args, **kwargs):
         obj = super().__call__(*args, **kwargs)
-        if not _INTERNING:
-            return obj
         table = cls._intern_table
         canonical = table.get(obj)
         if canonical is None:
@@ -96,7 +71,7 @@ def _term_node(cls: type) -> type:
     The dataclass-generated ``__hash__`` walks the whole subtree; we compute
     it once per node and store it on the instance (children are interned, so
     their hashes are already cached and the computation is O(arity), not
-    O(tree)).  ``__eq__`` gets an identity fast path: with interning on,
+    O(tree)).  ``__eq__`` gets an identity fast path: with interning,
     structurally equal terms *are* identical, so the structural comparison only
     runs inside intern-table lookups.
     """

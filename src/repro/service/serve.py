@@ -72,6 +72,9 @@ DEFAULT_MAX_PENDING = 256
 #: Largest request body read (bytes); a larger Content-Length gets 413.  The
 #: committed specs are tens of kilobytes.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Most header lines read per request; one more gets 431.  (A single line
+#: longer than the stream reader's 64 KiB limit gets 414 or 431 as well.)
+MAX_HEADERS = 100
 
 
 class AdmissionFullError(RuntimeError):
@@ -199,8 +202,6 @@ class SynthesisServer:
         self._seq = 0
         self._draining = False
         self._stopped = threading.Event()
-        self._idle = threading.Event()
-        self._idle.set()
         #: Bounded admission: submitted-but-unfinished logical jobs.
         self.max_pending = max_pending
         self._pending = 0
@@ -250,10 +251,6 @@ class SynthesisServer:
         if self._thread is not None:
             self._thread.join(timeout)
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until no work is queued or active (True) or timeout (False)."""
-        return self._idle.wait(timeout)
-
     # ------------------------------------------------------------------
     # Submission (any thread)
     # ------------------------------------------------------------------
@@ -274,7 +271,6 @@ class SynthesisServer:
             self._pending += 1
             self._seq += 1
             seq = self._seq
-        self._idle.clear()
         self._inbox.put(("submit", (job, seq, emit, time.monotonic())))
         self._wake()
         metrics.REGISTRY.counter("serve.jobs_submitted").inc()
@@ -346,11 +342,8 @@ class SynthesisServer:
                             # ones die with the pool below.
                             supervisor.cancel_all()
                             return
-                if not supervisor.busy():
-                    if self._inbox.empty():
-                        self._idle.set()
-                    if shutdown:
-                        break
+                if shutdown and not supervisor.busy():
+                    break
                 if supervisor.step(extra=[self._wake_r]):
                     try:
                         os.read(self._wake_r, 4096)
@@ -361,7 +354,6 @@ class SynthesisServer:
                 self.stats.worker_kills = pool.kills
                 self.stats.pool_rebuilds = pool.rebuilds
             pool.stop()
-            self._idle.set()
             self._stopped.set()
             trace.event("serve.stop")
 
@@ -402,8 +394,16 @@ class _RequestError(Exception):
         self.status = status
 
 
+async def _read_line(reader, status: str, what: str) -> bytes:
+    """One CRLF-terminated line; an over-long one is answered with ``status``."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # the stream reader's line-length limit
+        raise _RequestError(status, f"{what} too long") from exc
+
+
 async def _read_request(reader) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    line = await reader.readline()
+    line = await _read_line(reader, "414 URI Too Long", "request line")
     if not line:
         return None
     parts = line.decode("latin-1").strip().split()
@@ -411,12 +411,16 @@ async def _read_request(reader) -> Optional[Tuple[str, str, Dict[str, str], byte
         return None
     method, path = parts[0].upper(), parts[1]
     headers: Dict[str, str] = {}
-    while True:
-        hline = await reader.readline()
+    for _ in range(MAX_HEADERS + 1):
+        hline = await _read_line(reader, "431 Request Header Fields Too Large", "header line")
         if not hline or hline in (b"\r\n", b"\n"):
             break
         name, _, value = hline.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    else:
+        raise _RequestError(
+            "431 Request Header Fields Too Large", f"more than {MAX_HEADERS} header lines"
+        )
     body = b""
     declared = headers.get("content-length") or "0"
     if not (declared.isascii() and declared.isdigit()):
@@ -523,13 +527,19 @@ async def _handle_connection(
                     writer.write(_http_response("503 Service Unavailable", {"error": str(exc)}))
         elif method == "POST" and path == "/shutdown":
             try:
-                drain = bool(json.loads(body or b"{}").get("drain", True))
+                options = json.loads(body or b"{}")
             except json.JSONDecodeError:
-                drain = True
-            writer.write(_http_response("200 OK", {"ok": True, "drain": drain}))
-            await writer.drain()
-            stop_event.drain_on_stop = drain  # type: ignore[attr-defined]
-            stop_event.set()
+                options = {}
+            if isinstance(options, dict):
+                drain = bool(options.get("drain", True))
+                writer.write(_http_response("200 OK", {"ok": True, "drain": drain}))
+                await writer.drain()
+                stop_event.drain_on_stop = drain  # type: ignore[attr-defined]
+                stop_event.set()
+            else:
+                writer.write(
+                    _http_response("400 Bad Request", {"error": "expected a JSON object body"})
+                )
         else:
             writer.write(_http_response("404 Not Found", {"error": f"no route {method} {path}"}))
         await writer.drain()
@@ -574,6 +584,8 @@ async def _stdio_loop(server: SynthesisServer, stop_event: asyncio.Event) -> Non
             continue
         try:
             data = json.loads(line)
+            if not isinstance(data, dict):
+                raise ValueError("expected a JSON object")
             op = data.get("op")
             if op == "submit":
                 jobs = jobs_from_wire(data)

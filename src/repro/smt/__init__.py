@@ -4,7 +4,7 @@ This package replaces the off-the-shelf SMT solver (Z3) used by the paper's
 implementation; see DESIGN.md for the substitution rationale.
 """
 
-from repro.smt.encoder import EncodingError, encode, linearize
+from repro.smt.encoder import EncodingError, linearize
 from repro.smt.lia import BudgetExceeded, LIAResult, check_integer_feasible, check_rational_feasible
 from repro.smt.linexpr import Constraint, LinExpr, int_form
 from repro.smt.solver import (
@@ -21,7 +21,6 @@ __all__ = [
     "int_form",
     "theory_counters",
     "EncodingError",
-    "encode",
     "linearize",
     "BudgetExceeded",
     "LIAResult",

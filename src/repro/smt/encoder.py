@@ -17,8 +17,11 @@ This module implements the corresponding reduction for the Re2 fragment:
 * the resulting propositional structure is Tseitin-encoded into CNF whose
   theory atoms are linear constraints ``expr <= 0``.
 
-The output of :func:`encode` feeds the lazy DPLL(T) loop in
-:mod:`repro.smt.solver`.
+:class:`IncrementalEncoder` is the only entry point.  It encodes each formula
+once against a persistent atom table and Tseitin gate cache, and its output
+feeds the lazy DPLL(T) loop in :mod:`repro.smt.solver`.  The preprocessing
+passes are memoized per interned term in bounded module-wide tables; since
+they are pure term-to-term maps, the memos are always on.
 """
 
 from __future__ import annotations
@@ -48,19 +51,6 @@ _UNARY_DATA_MEASURES = ("len", "elems", "selems", "size", "telems", "sumlen", "n
 
 
 @dataclass
-class Encoding:
-    """The result of encoding a formula."""
-
-    cnf: CNF
-    #: SAT variable -> linear atom (meaning ``expr <= 0`` when true).
-    linear_atoms: Dict[int, LinExpr] = field(default_factory=dict)
-    #: SAT variable -> opaque Boolean atom (measure application, Boolean var, ...).
-    bool_atoms: Dict[int, Term] = field(default_factory=dict)
-    #: trivially-true/false formulas short-circuit the solver.
-    trivial: Optional[bool] = None
-
-
-@dataclass
 class EncoderStats:
     """Cache counters for the evaluation harness."""
 
@@ -74,15 +64,9 @@ class EncoderStats:
     #: clauses replayed from the gate cache instead of being rebuilt.
     gate_clauses_reused: int = 0
 
-    def encode_hit_rate(self) -> float:
-        return self.encode_cache_hits / self.encode_calls if self.encode_calls else 0.0
-
     def gate_hit_rate(self) -> float:
         return self.gate_hits / self.gate_queries if self.gate_queries else 0.0
 
-
-#: Module-wide cache switch (also gates the per-node preprocessing memos).
-_CACHING = True
 
 #: formula -> preprocessed (pre-Tseitin) formula, shared by all encoders.
 _PRE_CACHE: Dict[Term, Term] = {}
@@ -90,8 +74,6 @@ _PRE_CACHE: Dict[Term, Term] = {}
 _ITE_CACHE: Dict[Term, Term] = {}
 _ITE_NUMERIC_CACHE: Dict[Term, Term] = {}
 _NNF_CACHE: Dict[Tuple[Term, bool], Term] = {}
-#: formula -> one-shot Encoding (for the module-level :func:`encode`).
-_ENCODING_CACHE: Dict[Term, Encoding] = {}
 #: Bound for the module-level caches; cleared wholesale when exceeded.
 _MODULE_CACHE_MAX = 1 << 16
 
@@ -116,22 +98,6 @@ def _bounded_store(cache: Dict, key, value) -> None:
     cache[key] = value
 
 
-def set_caching(enabled: bool) -> None:
-    """Enable/disable all encoder caches (used by regression tests)."""
-    global _CACHING
-    _CACHING = bool(enabled)
-    if not enabled:
-        clear_caches()
-
-
-def clear_caches() -> None:
-    _PRE_CACHE.clear()
-    _ITE_CACHE.clear()
-    _ITE_NUMERIC_CACHE.clear()
-    _NNF_CACHE.clear()
-    _ENCODING_CACHE.clear()
-
-
 # ---------------------------------------------------------------------------
 # Public entry points
 # ---------------------------------------------------------------------------
@@ -146,11 +112,10 @@ def _preprocess(formula: Term) -> Term:
     and consistency queries many times along different search branches.
     """
     stats.preprocess_calls += 1
-    if _CACHING:
-        cached = _PRE_CACHE.get(formula)
-        if cached is not None:
-            stats.preprocess_cache_hits += 1
-            return cached
+    cached = _PRE_CACHE.get(formula)
+    if cached is not None:
+        stats.preprocess_cache_hits += 1
+        return cached
     with trace.span("smt.preprocess"):
         result = simplify(formula)
         if not isinstance(result, t.BoolConst):
@@ -160,51 +125,8 @@ def _preprocess(formula: Term) -> Term:
             result = _nnf(result, positive=True)
             result = _ground_sets(result, fresh)
             result = simplify(result)
-    if _CACHING:
-        _bounded_store(_PRE_CACHE, formula, result)
+    _bounded_store(_PRE_CACHE, formula, result)
     return result
-
-
-def encode(formula: Term, use_cache: Optional[bool] = None) -> Encoding:
-    """Encode a Boolean-sorted refinement term for satisfiability checking.
-
-    One-shot interface: every call returns a self-contained :class:`Encoding`
-    with its own CNF (cached per formula unless caching is off, in which case
-    a fresh encoding is built).  The incremental pipeline of
-    :mod:`repro.smt.solver` uses :class:`IncrementalEncoder` instead, which
-    shares the theory-atom table across queries.
-    """
-    caching = _CACHING if use_cache is None else (use_cache and _CACHING)
-    if caching:
-        cached = _ENCODING_CACHE.get(formula)
-        if cached is not None:
-            # Hand out a private CNF (and atom-map) copy: callers may mutate
-            # their encoding (blocking clauses etc.) without poisoning the
-            # cache.  The clause tuples themselves are immutable.
-            return Encoding(
-                cached.cnf.copy(),
-                dict(cached.linear_atoms),
-                dict(cached.bool_atoms),
-                cached.trivial,
-            )
-    preprocessed = _preprocess(formula)
-    if isinstance(preprocessed, t.BoolConst):
-        encoding = Encoding(CNF(), trivial=preprocessed.value)
-    else:
-        builder = _CnfBuilder()
-        root = builder.literal_for(preprocessed)
-        builder.cnf.add_clause((root,))
-        encoding = Encoding(builder.cnf, builder.linear_atoms, builder.bool_atoms)
-    if caching:
-        if len(_ENCODING_CACHE) >= _MODULE_CACHE_MAX:
-            _ENCODING_CACHE.clear()
-        _ENCODING_CACHE[formula] = Encoding(
-            encoding.cnf.copy(),
-            dict(encoding.linear_atoms),
-            dict(encoding.bool_atoms),
-            encoding.trivial,
-        )
-    return encoding
 
 
 @dataclass
@@ -337,12 +259,9 @@ class _FreshNames:
 
 def _eliminate_ite(term: Term) -> Term:
     """Remove ``Ite`` nodes by case-splitting the enclosing atom (memoized)."""
-    if _CACHING:
-        cached = _ITE_CACHE.get(term)
-        if cached is not None:
-            return cached
-    result = _eliminate_ite_uncached(term)
-    if _CACHING:
+    result = _ITE_CACHE.get(term)
+    if result is None:
+        result = _eliminate_ite_uncached(term)
         _bounded_store(_ITE_CACHE, term, result)
     return result
 
@@ -380,12 +299,9 @@ def _eliminate_ite_numeric(term: Term) -> Term:
     children = term.children()
     if not children:
         return term
-    if _CACHING:
-        cached = _ITE_NUMERIC_CACHE.get(term)
-        if cached is not None:
-            return cached
-    result = t._rebuild(term, tuple(_eliminate_ite_numeric(c) for c in children))
-    if _CACHING:
+    result = _ITE_NUMERIC_CACHE.get(term)
+    if result is None:
+        result = t._rebuild(term, tuple(_eliminate_ite_numeric(c) for c in children))
         _bounded_store(_ITE_NUMERIC_CACHE, term, result)
     return result
 
@@ -467,15 +383,12 @@ def _measure_equalities(left: Term, right: Term, apps: frozenset[t.App]) -> Term
 
 
 def _nnf(term: Term, positive: bool) -> Term:
-    if _CACHING:
-        key = (term, positive)
-        cached = _NNF_CACHE.get(key)
-        if cached is not None:
-            return cached
+    key = (term, positive)
+    result = _NNF_CACHE.get(key)
+    if result is None:
         result = _nnf_uncached(term, positive)
         _bounded_store(_NNF_CACHE, key, result)
-        return result
-    return _nnf_uncached(term, positive)
+    return result
 
 
 def _nnf_uncached(term: Term, positive: bool) -> Term:
@@ -691,11 +604,9 @@ class _Frame:
 
 
 class _CnfBuilder:
-    """Tseitin transformation; atoms become SAT variables.
+    """Tseitin transformation of one formula against an :class:`IncrementalEncoder`.
 
-    Standalone builders own their variable counter and atom table (one-shot
-    :func:`encode`).  When constructed with ``shared``, theory-atom variables
-    come from the :class:`IncrementalEncoder`'s persistent table — the same
+    Theory-atom variables come from the encoder's persistent table — the same
     atom in two formulas maps to the same variable — gate variables are drawn
     from the shared counter (so all clause groups live in one variable
     space), and every non-atom node consults the encoder's persistent gate
@@ -704,23 +615,21 @@ class _CnfBuilder:
     allocating fresh auxiliary variables and rebuilding clauses.
     """
 
-    def __init__(self, shared: Optional[IncrementalEncoder] = None) -> None:
+    def __init__(self, shared: IncrementalEncoder) -> None:
         self.cnf = CNF()
         self._shared = shared
         self.linear_atoms: Dict[int, LinExpr] = {}
         self.bool_atoms: Dict[int, Term] = {}
-        self._atom_cache: Dict[object, int] = shared._atom_cache if shared else {}
+        self._atom_cache: Dict[object, int] = shared._atom_cache
         self._node_cache: Dict[Term, int] = {}
         #: capture stack: one frame per in-flight gate-cache miss.
         self._frames: List[_Frame] = []
 
     def _new_var(self) -> int:
-        if self._shared is not None:
-            var = self._shared.new_var()
-            if var > self.cnf.num_vars:
-                self.cnf.num_vars = var
-            return var
-        return self.cnf.new_var()
+        var = self._shared.new_var()
+        if var > self.cnf.num_vars:
+            self.cnf.num_vars = var
+        return var
 
     # -- atoms ------------------------------------------------------------
     def _linear_atom_var(self, expr: LinExpr) -> int:
@@ -729,8 +638,7 @@ class _CnfBuilder:
         if var is None:
             var = self._new_var()
             self._atom_cache[key] = var
-            if self._shared is not None:
-                self._shared.linear_atoms[var] = expr
+            self._shared.linear_atoms[var] = expr
         self.linear_atoms.setdefault(var, expr)
         if self._frames:
             self._frames[-1].lin_atoms.append((var, expr))
@@ -742,8 +650,7 @@ class _CnfBuilder:
         if var is None:
             var = self._new_var()
             self._atom_cache[key] = var
-            if self._shared is not None:
-                self._shared.bool_atoms[var] = atom
+            self._shared.bool_atoms[var] = atom
         self.bool_atoms.setdefault(var, atom)
         if self._frames:
             self._frames[-1].bool_atoms.append((var, atom))
@@ -758,10 +665,6 @@ class _CnfBuilder:
         if literal is not None:
             return literal
         shared = self._shared
-        if shared is None:
-            literal = self._build(term)
-            self._node_cache[term] = literal
-            return literal
         shared.stats.gate_queries += 1
         entry = shared._gate_cache.get(term)
         if entry is not None:

@@ -129,7 +129,6 @@ metrics.REGISTRY.register_view(
 
 _CACHE: Dict[object, "_Entry"] = {}
 _CACHE_MAX = 1 << 16
-_CACHING = True
 
 
 @dataclass
@@ -146,14 +145,6 @@ class _Entry:
     raw_core: Optional[FrozenSet[LinExpr]] = None
     min_core: Optional[FrozenSet[LinExpr]] = None
     budget_exceeded: bool = False
-
-
-def set_caching(enabled: bool) -> None:
-    """Enable/disable the feasibility cache (used by regression tests)."""
-    global _CACHING
-    _CACHING = bool(enabled)
-    if not enabled:
-        _CACHE.clear()
 
 
 def clear_cache() -> None:
@@ -179,25 +170,20 @@ def check_integer_feasible(
     """
     stats.queries += 1
     exprs = tuple(dict.fromkeys(c.expr for c in constraints))
-    key = None
-    entry: Optional[_Entry] = None
-    if _CACHING:
-        key = (frozenset(exprs), budget, depth)
-        entry = _CACHE.get(key)
-        if entry is not None:
-            stats.cache_hits += 1
-    if entry is None:
+    key = (frozenset(exprs), budget, depth)
+    entry = _CACHE.get(key)
+    if entry is not None:
+        stats.cache_hits += 1
+    else:
         try:
             with trace.span("lia.feasible") as sp:
                 entry = _solve_entry(exprs, budget, depth)
                 if sp:
                     sp.count("constraints", len(exprs))
         except BudgetExceeded:
-            if key is not None:
-                _store(key, _Entry(budget_exceeded=True))
+            _store(key, _Entry(budget_exceeded=True))
             raise
-        if key is not None:
-            _store(key, entry)
+        _store(key, entry)
     if entry.budget_exceeded:
         raise BudgetExceeded("Fourier-Motzkin budget exceeded (cached)")
     if entry.model is not None:
@@ -558,20 +544,12 @@ def _probe_unsat(exprs: Tuple[LinExpr, ...], budget: int, depth: int) -> bool:
     as "cannot tell" (the member under test is then kept in the core).
     """
     stats.core_probes += 1
-    key = None
-    if _CACHING:
-        key = (frozenset(exprs), budget, depth)
-        entry = _CACHE.get(key)
-        if entry is not None:
-            if entry.budget_exceeded:
-                return False
-            return entry.model is None
-    try:
-        entry = _solve_entry(exprs, budget, depth)
-    except BudgetExceeded:
-        if key is not None:
-            _store(key, _Entry(budget_exceeded=True))
-        return False
-    if key is not None:
+    key = (frozenset(exprs), budget, depth)
+    entry = _CACHE.get(key)
+    if entry is None:
+        try:
+            entry = _solve_entry(exprs, budget, depth)
+        except BudgetExceeded:
+            entry = _Entry(budget_exceeded=True)
         _store(key, entry)
-    return entry.model is None
+    return not entry.budget_exceeded and entry.model is None

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics
 
@@ -106,13 +106,9 @@ class CNF:
     #: Reusable scratch state for :meth:`add_clause` (clause ingestion is the
     #: hottest allocation site of the encoder: one dict + one intermediate
     #: tuple per Tseitin clause before this buffer existed).  Excluded from
-    #: equality/repr; ``copy()`` gives the clone fresh buffers via ``__init__``.
+    #: equality/repr.
     _buf: List[int] = field(default_factory=list, init=False, repr=False, compare=False)
     _seen: set = field(default_factory=set, init=False, repr=False, compare=False)
-
-    def new_var(self) -> int:
-        self.num_vars += 1
-        return self.num_vars
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Append a clause, deduplicating literals and dropping tautologies.
@@ -139,9 +135,6 @@ class CNF:
                 num_vars = var
         self.num_vars = num_vars
         self.clauses.append(tuple(buf))
-
-    def copy(self) -> "CNF":
-        return CNF(self.num_vars, list(self.clauses))
 
 
 class _Clause:
@@ -519,28 +512,3 @@ def solve(cnf: CNF, assumptions: Sequence[int] = ()) -> Optional[Dict[int, bool]
     for var in range(1, cnf.num_vars + 1):
         model.setdefault(var, False)
     return model
-
-
-def iter_models(
-    cnf: CNF, blocking_vars: Optional[Sequence[int]] = None
-) -> Iterator[Dict[int, bool]]:
-    """Enumerate models, blocking each one on ``blocking_vars`` (default: all).
-
-    Blocking clauses go to a private copy of the database (callers do not want
-    them persisted), but the attached solver ingests them incrementally rather
-    than re-copying per model.
-    """
-    working = cnf.copy()
-    solver = SatSolver(working)
-    while True:
-        model = solver.solve()
-        if model is None:
-            return
-        for var in range(1, working.num_vars + 1):
-            model.setdefault(var, False)
-        yield model
-        keys = blocking_vars if blocking_vars is not None else list(model.keys())
-        blocking = tuple(-var if model[var] else var for var in keys)
-        if not blocking:
-            return
-        working.add_clause(blocking)

@@ -42,10 +42,10 @@ T-NInc ablation shows to matter, Table 2):
 * validity results and satisfying models are memoized per interned formula in
   bounded LRU caches, with hit/miss counters on :class:`SolverStats`.
 
-All caching can be disabled per solver instance (``Solver(caching=False)``)
-or globally via :func:`set_caching`; the uncached path reproduces the
-original one-shot encode/solve behaviour and is used by the regression tests
-that compare both pipelines.
+There is one pipeline: every query goes through the shared encoder, lemma
+replay and the memoized LIA engine.  The memo tables are transparent (a cold
+process synthesizes the same programs as a warm one); the independent oracle
+for the theory layer is :mod:`repro.smt.lia_reference`.
 """
 
 from __future__ import annotations
@@ -57,37 +57,15 @@ from typing import Dict, List, Optional, Tuple
 from repro.logic import terms as t
 from repro.logic.terms import Term
 from repro.obs import metrics, trace
-from repro.smt import encoder as enc_mod
 from repro.smt import lia
 from repro.smt import sat
-from repro.smt.encoder import (
-    Encoding,
-    FormulaEncoding,
-    IncrementalEncoder,
-    encode,
-)
+from repro.smt.encoder import FormulaEncoding, IncrementalEncoder
 from repro.smt.lia import BudgetExceeded, check_integer_feasible
 from repro.smt.linexpr import Constraint, LinExpr
 
 
 class SolverError(Exception):
     """Raised when a query exceeds the solver's resource budget."""
-
-
-#: Process-wide default for new Solver instances (regression-test switch).
-_CACHING_DEFAULT = True
-
-
-def set_caching(enabled: bool) -> None:
-    """Toggle caching across the whole SMT pipeline (solver, encoder, LIA).
-
-    Affects newly created :class:`Solver` instances; existing instances keep
-    the mode they were constructed with.
-    """
-    global _CACHING_DEFAULT
-    _CACHING_DEFAULT = bool(enabled)
-    enc_mod.set_caching(enabled)
-    lia.set_caching(enabled)
 
 
 @dataclass
@@ -147,15 +125,11 @@ class Solver:
     def __init__(
         self,
         max_theory_iterations: int = 2000,
-        caching: Optional[bool] = None,
         valid_cache_size: int = 8192,
         model_cache_size: int = 8192,
-        share_lemmas: bool = True,
     ) -> None:
         self.max_theory_iterations = max_theory_iterations
         self.stats = SolverStats()
-        self.caching = _CACHING_DEFAULT if caching is None else bool(caching)
-        self.share_lemmas = share_lemmas
         self._valid_cache: "OrderedDict[Term, bool]" = OrderedDict()
         self._valid_cache_size = valid_cache_size
         self._model_cache: "OrderedDict[Term, Optional[Model]]" = OrderedDict()
@@ -172,12 +146,6 @@ class Solver:
     def check_sat(self, formula: Term) -> Optional[Model]:
         """Return a model of ``formula`` or ``None`` when unsatisfiable."""
         self.stats.sat_queries += 1
-        if not self.caching:
-            encoding = encode(formula, use_cache=False)
-            if encoding.trivial is not None:
-                return Model() if encoding.trivial else None
-            with trace.span("smt.solve"):
-                return self._solve(self._adapt(encoding), share=False)
         cached = self._model_cache.get(formula, _MISSING)
         if cached is not _MISSING:
             self._model_cache.move_to_end(formula)
@@ -189,7 +157,7 @@ class Solver:
             result: Optional[Model] = Model() if encoding.trivial else None
         else:
             with trace.span("smt.solve"):
-                result = self._solve(encoding, share=self.share_lemmas)
+                result = self._solve(encoding)
         self._model_cache[formula] = result
         if len(self._model_cache) > self._model_cache_size:
             self._model_cache.popitem(last=False)
@@ -197,19 +165,17 @@ class Solver:
 
     def check_valid(self, formula: Term) -> bool:
         """Whether ``formula`` holds in all models (validity checking, App. B)."""
-        if self.caching:
-            cached = self._valid_cache.get(formula)
-            if cached is not None:
-                self._valid_cache.move_to_end(formula)
-                self.stats.valid_cache_hits += 1
-                return cached
-            self.stats.valid_cache_misses += 1
+        cached = self._valid_cache.get(formula)
+        if cached is not None:
+            self._valid_cache.move_to_end(formula)
+            self.stats.valid_cache_hits += 1
+            return cached
+        self.stats.valid_cache_misses += 1
         self.stats.validity_queries += 1
         result = self.check_sat(t.neg(formula)) is None
-        if self.caching:
-            self._valid_cache[formula] = result
-            if len(self._valid_cache) > self._valid_cache_size:
-                self._valid_cache.popitem(last=False)
+        self._valid_cache[formula] = result
+        if len(self._valid_cache) > self._valid_cache_size:
+            self._valid_cache.popitem(last=False)
         return result
 
     def check_implication(self, antecedent: Term, consequent: Term) -> bool:
@@ -305,29 +271,13 @@ class Solver:
         }
 
     # -- DPLL(T) loop -------------------------------------------------------
-    @staticmethod
-    def _adapt(encoding: Encoding) -> FormulaEncoding:
-        """Wrap a one-shot :class:`Encoding` for the shared solve loop.
-
-        The root is already asserted as a unit clause inside ``encoding.cnf``,
-        so the assumption literal is 0 (none).
-        """
-        return FormulaEncoding(
-            0,
-            encoding.cnf,
-            encoding.linear_atoms,
-            encoding.bool_atoms,
-            frozenset(encoding.linear_atoms) | frozenset(encoding.bool_atoms),
-        )
-
-    def _solve(self, encoding: FormulaEncoding, share: bool) -> Optional[Model]:
+    def _solve(self, encoding: FormulaEncoding) -> Optional[Model]:
         if encoding.sat is None:
             encoding.sat = sat.SatSolver(encoding.cnf)
         sat_solver = encoding.sat
         assert isinstance(sat_solver, sat.SatSolver)
-        if share:
-            self._sync_lemmas(encoding)
-        assumptions = (encoding.root,) if encoding.root else ()
+        self._sync_lemmas(encoding)
+        assumptions = (encoding.root,)
         for _ in range(self.max_theory_iterations):
             self.stats.sat_solves += 1
             with trace.span("sat.solve") as sat_span:
@@ -364,9 +314,8 @@ class Solver:
                 clause = tuple(-var if positive else var for (var, positive), _ in literals)
             encoding.cnf.add_clause(clause)
             self.stats.lemmas_learned += 1
-            if share:
-                encoding.lemma_seen.add(clause)
-                self._lemma_pool.append(clause)
+            encoding.lemma_seen.add(clause)
+            self._lemma_pool.append(clause)
         raise SolverError("exceeded theory iteration budget")
 
     def _sync_lemmas(self, encoding: FormulaEncoding) -> None:
@@ -393,22 +342,17 @@ class Solver:
         which is the exact negation over the integers.  Atoms the SAT search
         left unassigned default to False, as in a total assignment.
 
-        Negations are memoized per atom variable (``self._negated_atoms``) in
-        caching mode: vars are encoder-unique, so the memo hands back the one
-        interned negation instance, keeping its ``int_form`` memo warm.  The
-        uncached path allocates one-shot encodings with private overlapping
-        variable spaces and must not share the memo.
+        Negations are memoized per atom variable (``self._negated_atoms``):
+        vars are encoder-unique, so the memo hands back the one interned
+        negation instance, keeping its ``int_form`` memo warm.
         """
         literals: List[Tuple[Tuple[int, bool], LinExpr]] = []
-        negated = self._negated_atoms if self.caching else None
+        negated = self._negated_atoms
         one = LinExpr.const(1)
         for var, expr in encoding.linear_atoms.items():
             if assignment.get(var, False):
                 literals.append(((var, True), expr))
             else:
-                if negated is None:
-                    literals.append(((var, False), (-expr) + one))
-                    continue
                 neg = negated.get(var)
                 if neg is None:
                     neg = (-expr) + one

@@ -19,6 +19,7 @@ The contract under test, per pillar:
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -72,6 +73,23 @@ def post_jobs(handle, entries, timeout=120):
     status, raw = post_json(handle, "/jobs", {"jobs": entries}, timeout=timeout)
     assert status == 200, raw
     return [json.loads(line) for line in raw.decode().strip().splitlines()]
+
+
+def raw_status(handle, request):
+    """Send raw request bytes; return the status code of a JSON error reply."""
+    with socket.create_connection((handle.host, handle.port), 10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    status_line, _, rest = reply.partition(b"\r\n")
+    assert b"error" in rest, reply
+    return int(status_line.split()[1])
+
+
+def assert_healthy(handle):
+    status, body = get_json(handle, "/healthz")
+    assert status == 200 and body == {"ok": True}
 
 
 def results_of(events):
@@ -221,27 +239,36 @@ class TestHTTP:
         assert len(cache["per_shard"]) >= 4
 
     def test_malformed_content_length_gets_an_error_status(self, warm_server):
-        import socket
-
         from repro.service.serve import MAX_BODY_BYTES
 
-        def raw_status(length):
-            with socket.create_connection((warm_server.host, warm_server.port), 10) as sock:
-                sock.sendall(
-                    f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
-                )
-                reply = b""
-                while chunk := sock.recv(4096):
-                    reply += chunk
-            status_line, _, rest = reply.partition(b"\r\n")
-            assert b"error" in rest, reply
-            return int(status_line.split()[1])
+        def status_for(length):
+            request = f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+            return raw_status(warm_server, request.encode())
 
-        assert raw_status("abc") == 400
-        assert raw_status("-5") == 400
-        assert raw_status(MAX_BODY_BYTES + 1) == 413
-        status, body = get_json(warm_server, "/healthz")
-        assert status == 200 and body == {"ok": True}
+        assert status_for("abc") == 400
+        assert status_for("-5") == 400
+        assert status_for(MAX_BODY_BYTES + 1) == 413
+        assert_healthy(warm_server)
+
+    def test_non_object_shutdown_body_gets_400(self, warm_server):
+        request = b"POST /shutdown HTTP/1.1\r\nContent-Length: 3\r\n\r\n[1]"
+        assert raw_status(warm_server, request) == 400
+        assert_healthy(warm_server)
+
+    def test_oversized_request_head_gets_414_or_431(self, warm_server):
+        from repro.service.serve import MAX_HEADERS
+
+        long_path = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        assert raw_status(warm_server, long_path) == 414
+        long_header = b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        assert raw_status(warm_server, long_header) == 431
+        many = b"".join(b"X-H%d: 1\r\n" % i for i in range(MAX_HEADERS + 1))
+        assert raw_status(warm_server, b"GET /healthz HTTP/1.1\r\n" + many + b"\r\n") == 431
+        exactly = b"".join(b"X-H%d: 1\r\n" % i for i in range(MAX_HEADERS))
+        with socket.create_connection((warm_server.host, warm_server.port), 10) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n" + exactly + b"\r\n")
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200 OK")
+        assert_healthy(warm_server)
 
     def test_jobs_from_wire_rejects_non_object(self):
         from repro.service.codec import CodecError
@@ -250,6 +277,24 @@ class TestHTTP:
             jobs_from_wire([1, 2, 3])
         with pytest.raises(CodecError):
             jobs_from_wire({"jobs": "nope"})
+
+    def test_stdio_non_object_line_gets_an_error_event(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.service", "serve", "--stdio", "-j", "1", "--port", "0"],
+            input='[1]\n{"op": "stats"}\n',
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            check=True,
+        )
+        events = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
+        assert [event["event"] for event in events] == ["error", "stats"]
 
 
 # ---------------------------------------------------------------------------

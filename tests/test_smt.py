@@ -1,13 +1,16 @@
 """Tests for the SMT layer: LIA core, SAT solver, encoder, DPLL(T) solver."""
 
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import terms as t
 from repro.semantics.refinements import eval_term
 from repro.smt import check_sat, check_valid
-from repro.smt.encoder import EncodingError, encode, linearize
+from repro.smt.encoder import EncodingError, IncrementalEncoder, linearize
 from repro.smt.lia import check_integer_feasible, check_rational_feasible
 from repro.smt.linexpr import Constraint, LinExpr
 from repro.smt.sat import CNF, solve
@@ -150,9 +153,10 @@ class TestEncoder:
             linearize(t.Mul(x, y))
 
     def test_trivial_formulas(self):
-        assert encode(t.TRUE).trivial is True
-        assert encode(t.FALSE).trivial is False
-        assert encode(t.conj(t.IntConst(1) < t.IntConst(0))).trivial is False
+        encoder = IncrementalEncoder()
+        assert encoder.encode(t.TRUE).trivial is True
+        assert encoder.encode(t.FALSE).trivial is False
+        assert encoder.encode(t.conj(t.IntConst(1) < t.IntConst(0))).trivial is False
 
 
 class TestSolverArithmetic:
@@ -255,3 +259,75 @@ class TestSolverObject:
         queries = solver.stats.sat_queries
         assert solver.check_valid(formula)
         assert solver.stats.sat_queries == queries
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: evaluation over a small integer box
+# ---------------------------------------------------------------------------
+
+_BOX = range(-4, 5)
+_COMPARISONS = (t.Le, t.Lt, t.Ge, t.Gt, t.Eq)
+
+
+def _random_atom(rng):
+    """``a*x + b*y + c*z  <op>  d`` with coefficients in [-3, 3]."""
+    lhs = t.IntConst(0)
+    for var in (x, y, z):
+        coeff = rng.randint(-3, 3)
+        if coeff:
+            lhs = lhs + t.IntConst(coeff) * var
+    return rng.choice(_COMPARISONS)(lhs, t.IntConst(rng.randint(-4, 4)))
+
+
+def _random_formula(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(atoms)
+    # Conjunctions are drawn twice as often, so that some formulas are unsat.
+    kind = rng.choice(("and", "and", "or", "not", "ite"))
+    if kind == "not":
+        return t.Not(_random_formula(rng, atoms, depth - 1))
+    parts = [_random_formula(rng, atoms, depth - 1) for _ in range(3 if kind == "ite" else 2)]
+    if kind == "ite":
+        return t.Ite(*parts, sort=t.BOOL)
+    return (t.And if kind == "and" else t.Or)(tuple(parts))
+
+
+def _holds(formula, model):
+    env = {name: model.value(name) for name in ("x", "y", "z")}
+    return eval_term(formula, env)
+
+
+class TestSolverOracle:
+    """Verdicts and models are checked by evaluation, not by another solver.
+
+    Every formula is solved twice: on a fresh :class:`Solver` and on one warm
+    solver that has already answered all earlier formulas of the run, so the
+    warm verdicts go through lemma replay, gate-cache replay and the model and
+    validity LRUs.  Formulas draw on a small shared atom pool to make that
+    replay actually happen.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fresh_and_warm_solvers_agree_with_evaluation(self, seed):
+        rng = random.Random(seed)
+        atoms = [_random_atom(rng) for _ in range(8)]
+        warm = Solver()
+        verdicts = set()
+        for _ in range(60):
+            formula = _random_formula(rng, atoms, depth=4)
+            fresh_model = Solver().check_sat(formula)
+            warm_model = warm.check_sat(formula)
+            unsat = fresh_model is None
+            assert (warm_model is None) == unsat, formula
+            assert warm.check_valid(t.neg(formula)) == unsat, formula
+            if not unsat:
+                assert _holds(formula, fresh_model), (formula, fresh_model)
+                assert _holds(formula, warm_model), (formula, warm_model)
+            else:
+                for point in itertools.product(_BOX, repeat=3):
+                    env = dict(zip(("x", "y", "z"), point))
+                    assert not eval_term(formula, env), (formula, env)
+            verdicts.add(unsat)
+        assert verdicts == {True, False}
+        assert warm.stats.lemmas_shared > 0
+
