@@ -38,6 +38,10 @@ def render(fresh: dict, baseline: dict | None = None) -> str:
         meta += f", `src/` **{fresh['src_lines']}** lines"
         if baseline is not None and "src_lines" in baseline:
             meta += f" (baseline {baseline['src_lines']})"
+    if "intern_nodes" in fresh:
+        meta += f", **{fresh['intern_nodes']}** interned term nodes"
+        if baseline is not None and "intern_nodes" in baseline:
+            meta += f" (baseline {baseline['intern_nodes']})"
     lines.append(meta)
 
     lines += ["", "### Wall-clock per row", ""]

@@ -19,9 +19,13 @@ implementation (Sec. 4.3):
 Terms are immutable (frozen dataclasses) and hashable, so they can be used as
 dictionary keys by the SMT layer and the constraint solvers.
 
-Terms are also *hash-consed*: every constructor interns its result in a
-per-class table, so structurally equal terms built anywhere in the system are
-the same Python object.  This gives three things the synthesis hot path needs:
+Terms are also *hash-consed*: every constructor call is keyed by its class
+and its full tuple of init-field values (children are themselves interned, so
+the key holds child identities and leaf values), and the per-class intern
+table maps that key to the one node built for it.  A call that hits the table
+returns the existing node without building anything, so structurally equal
+terms built anywhere in the system are the same Python object.  This gives
+three things the synthesis hot path needs:
 
 * equality checks and dictionary lookups degenerate to pointer comparisons in
   the common case,
@@ -35,48 +39,78 @@ Interning is an invariant, not a mode: there is no uncached construction path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.logic.sorts import BOOL, DATA, INT, SET, Sort
+from repro.obs import metrics
 
 
 class _TermMeta(type):
-    """Metaclass that hash-conses term construction.
+    """Metaclass that hash-conses term construction, keyed before construction.
 
-    Constructing a node first builds the candidate object, then returns the
-    canonical structurally-equal instance from the class's intern table (the
-    candidate itself on first sight).  Canonicalisation happens on the fully
-    initialised object, so every constructor-argument spelling of the same
-    term maps to one instance.
+    A constructor call first normalizes its arguments to the class's full
+    tuple of init fields (positional arguments at full arity are the key
+    as-is; keywords and defaults are filled in otherwise).  That tuple is
+    looked up in the class's intern table, and the node is built only on a
+    miss, then stored under the tuple.  A hit builds nothing: the key's hash
+    combines the children's cached hashes with the leaf values.  Every
+    argument spelling of one term normalizes to the same key, hence to one
+    instance.
     """
 
     def __init__(cls, name: str, bases: tuple, namespace: dict) -> None:
         super().__init__(name, bases, namespace)
-        cls._intern_table: Dict[object, object] = {}
+        cls._intern_table: Dict[tuple, object] = {}
 
     def __call__(cls, *args, **kwargs):
-        obj = super().__call__(*args, **kwargs)
+        if kwargs or len(args) != len(cls._init_fields):
+            args = cls._full_args(args, kwargs)
         table = cls._intern_table
-        canonical = table.get(obj)
-        if canonical is None:
-            table[obj] = obj
-            return obj
-        return canonical
+        node = table.get(args)
+        if node is None:
+            node = table[args] = super().__call__(*args)
+        return node
+
+    def _full_args(cls, args: tuple, kwargs: dict) -> tuple:
+        """The init-field tuple of one call; bad spellings raise ``TypeError``."""
+        names = cls._init_fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() takes at most {len(names)} arguments ({len(args)} given)"
+            )
+        full = list(args)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                full.append(kwargs.pop(name))
+            elif name in cls._init_defaults:
+                full.append(cls._init_defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        return tuple(full)
 
 
 def _term_node(cls: type) -> type:
     """Decorator for concrete term nodes: frozen dataclass + cached hash.
 
+    Also records the init fields (in order) and their defaults, which
+    :class:`_TermMeta` uses to turn any constructor call into its intern key.
+
     The dataclass-generated ``__hash__`` walks the whole subtree; we compute
     it once per node and store it on the instance (children are interned, so
     their hashes are already cached and the computation is O(arity), not
     O(tree)).  ``__eq__`` gets an identity fast path: with interning,
-    structurally equal terms *are* identical, so the structural comparison only
-    runs inside intern-table lookups.
+    structurally equal terms *are* identical, so the structural comparison
+    only runs on distinct nodes (a hash collision in a dict, say).
     """
 
     cls = dataclass(frozen=True)(cls)
+    init_fields = [f for f in fields(cls) if f.init]
+    cls._init_fields = tuple(f.name for f in init_fields)
+    cls._init_defaults = {f.name: f.default for f in init_fields if f.default is not MISSING}
     structural_hash = cls.__hash__
     structural_eq = cls.__eq__
 
@@ -608,6 +642,13 @@ class SetAll(Term):
 
     def __str__(self) -> str:
         return f"(∀{self.var} ∈ {self.set_term}. {self.body})"
+
+
+#: Interned nodes over all term classes, counted only when collected.
+metrics.REGISTRY.register_view(
+    "logic.terms",
+    lambda: {"intern_nodes": sum(len(cls._intern_table) for cls in Term.__subclasses__())},
+)
 
 
 # ---------------------------------------------------------------------------

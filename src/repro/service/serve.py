@@ -75,6 +75,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Most header lines read per request; one more gets 431.  (A single line
 #: longer than the stream reader's 64 KiB limit gets 414 or 431 as well.)
 MAX_HEADERS = 100
+#: Seconds a client gets to send its whole request (line, headers and body);
+#: a slower one gets 408, so a silent client cannot hold a handler forever.
+READ_TIMEOUT_S = 30.0
 
 
 class AdmissionFullError(RuntimeError):
@@ -494,9 +497,14 @@ async def _handle_connection(
 ) -> None:
     try:
         try:
-            request = await _read_request(reader)
+            request = await asyncio.wait_for(_read_request(reader), READ_TIMEOUT_S)
         except _RequestError as exc:
             writer.write(_http_response(exc.status, {"error": str(exc)}))
+            await writer.drain()
+            return
+        except asyncio.TimeoutError:
+            error = f"request not received within {READ_TIMEOUT_S} s"
+            writer.write(_http_response("408 Request Timeout", {"error": error}))
             await writer.drain()
             return
         if request is None:

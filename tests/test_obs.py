@@ -194,7 +194,8 @@ class TestMetricsRegistry:
         after_2 = metrics.REGISTRY.snapshot()["views"]
         synthesize(goal, SynthesisConfig.resyn())
         after_3 = metrics.REGISTRY.snapshot()["views"]
-        for view in ("smt.theory", "smt.lia", "smt.sat", "smt.scaling", "smt.encoder"):
+        views = ("smt.theory", "smt.lia", "smt.sat", "smt.scaling", "smt.encoder", "logic.terms")
+        for view in views:
             run2 = metrics.delta(before_2[view], after_2[view])
             run3 = metrics.delta(after_2[view], after_3[view])
             assert run2 == run3, f"view {view} drifted between identical runs"

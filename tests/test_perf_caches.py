@@ -3,7 +3,9 @@
 Covers the invariants the caching subsystem relies on:
 
 * interning: structural equality implies object identity, hashes are stable
-  and cached, and operator-overload construction routes through the tables;
+  and cached, operator-overload construction routes through the tables, and
+  every argument spelling maps to one node; a table hit builds no node, and
+  a bad spelling raises ``TypeError`` without touching the table;
 * substitution: memoization does not break capture avoidance under the
   ``SetAll`` binder, and no-op substitutions return the original object;
 * the solver's bounded LRU validity cache and its hit/miss counters;
@@ -79,6 +81,54 @@ class TestInterning:
         once = simplify(term)
         assert simplify(term) is once
         assert simplify(once) is once
+
+    def test_every_argument_spelling_returns_one_node(self):
+        assert t.Var("x") is t.Var("x", t.INT) is t.Var(name="x") is t.Var("x", sort=t.INT)
+        assert t.Var("x") is x
+        args = (x, xs)
+        app = t.App("f", args)
+        assert app is t.App("f", args, t.INT) is t.App("f", args, sort=t.INT)
+        assert app is t.App(func="f", args=args)
+        assert t.App("f", args, t.SET) is not app
+        ite = t.Ite(x < y, x, y)
+        assert ite is t.Ite(x < y, x, y, t.INT) is t.Ite(x < y, x, y, sort=t.INT)
+        assert ite is t.Ite(cond=x < y, then_branch=x, else_branch=y)
+        assert t.EmptySet() is t.EmptySet()
+
+    def test_a_hit_constructs_nothing(self, monkeypatch):
+        formula = t.And((x < y, t.Not(x.eq(y))))
+        calls = []
+        original = t.And.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(t.And, "__init__", counting_init)
+        assert t._rebuild(formula, formula.children()) is formula
+        assert calls == []
+        # The counter does see construction: a new formula is built once.
+        probe = t.int_var("and_init_probe")
+        fresh = t._rebuild(formula, (probe < x, x.eq(probe)))
+        assert len(calls) == 1
+        assert t._rebuild(fresh, fresh.children()) is fresh
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "cls, spell",
+        [
+            (t.Var, lambda: t.Var("x", colour=1)),
+            (t.Var, lambda: t.Var()),
+            (t.Var, lambda: t.Var("x", t.INT, name="x")),
+            (t.And, lambda: t.And([x < y, y < x])),
+        ],
+        ids=["unknown-keyword", "missing-argument", "duplicate-argument", "list-args"],
+    )
+    def test_bad_spellings_raise_and_intern_nothing(self, cls, spell):
+        before = len(cls._intern_table)
+        with pytest.raises(TypeError):
+            spell()
+        assert len(cls._intern_table) == before
 
 
 class TestSubstitutionCaching:

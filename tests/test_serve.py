@@ -270,6 +270,16 @@ class TestHTTP:
             assert sock.recv(4096).startswith(b"HTTP/1.1 200 OK")
         assert_healthy(warm_server)
 
+    def test_silent_client_gets_408(self, warm_server, monkeypatch):
+        from repro.service import serve
+
+        monkeypatch.setattr(serve, "READ_TIMEOUT_S", 0.2)
+        stalled_line = b"GET /healthz"
+        assert raw_status(warm_server, stalled_line) == 408
+        short_body = b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"{" * 10
+        assert raw_status(warm_server, short_body) == 408
+        assert_healthy(warm_server)
+
     def test_jobs_from_wire_rejects_non_object(self):
         from repro.service.codec import CodecError
 
