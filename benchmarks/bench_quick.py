@@ -106,6 +106,7 @@ AGGREGATED_COUNTERS = (
     "sat_var_bumps",
     "sat_learned_clauses",
     "sat_deleted_clauses",
+    "sat_ingested_clauses",
 )
 
 

@@ -159,8 +159,8 @@ def main() -> int:
     print(f"| warm pass cache hits | {len(warm)}/{len(warm)} (100%) |")
     print(f"| warm-state reused jobs | {warm_state['reused_jobs']}/{warm_state['jobs']} |")
     print(
-        "| warm reuse hits (gate/lemma/valid/model) | "
-        f"{warm_state.get('gate_hits', 0)}/{warm_state.get('lemmas_shared', 0)}/"
+        "| warm reuse hits (gate/valid/model) | "
+        f"{warm_state.get('gate_hits', 0)}/"
         f"{warm_state.get('valid_hits', 0)}/{warm_state.get('model_hits', 0)} |"
     )
     print(f"| cache shards | {cache['shards']} ({cache['entries']} entries) |")

@@ -28,9 +28,9 @@ from repro.constraints.store import ResourceConstraint, coefficients_in, is_coef
 from repro.obs import trace
 from repro.smt.linexpr import Constraint as LinConstraint
 from repro.smt.linexpr import LinExpr
-from repro.smt.encoder import linearize
+from repro.smt.encoder import EncodingError, linearize
 from repro.smt.lia import check_integer_feasible
-from repro.smt.solver import Solver
+from repro.smt.solver import Solver, SolverError
 
 
 @dataclass
@@ -43,6 +43,8 @@ class CegisStats:
     restarts: int = 0
     grounding_cache_hits: int = 0
     grounding_cache_misses: int = 0
+    #: solver queries that raised SolverError/EncodingError (fail closed).
+    undecided: int = 0
 
     def grounding_hit_rate(self) -> float:
         total = self.grounding_cache_hits + self.grounding_cache_misses
@@ -103,6 +105,11 @@ def _substitute_values(term: Term, values: Dict[object, int]) -> Term:
     return t._rebuild(term, new_children)
 
 
+#: Result of :meth:`CegisSolver._find_counterexample` when the solver could
+#: not decide a verification query.
+_UNDECIDED = object()
+
+
 class CegisSolver:
     """Incremental CEGIS for systems of resource constraints.
 
@@ -151,6 +158,7 @@ class CegisSolver:
             "cegis_counterexamples": self.stats.counterexamples,
             "cegis_grounding_hit_rate": round(self.stats.grounding_hit_rate(), 4),
             "cegis_ground_cache_size": len(self._ground_cache),
+            "cegis_undecided": self.stats.undecided,
         }
 
     def seed(self, examples: Sequence[Example]) -> None:
@@ -180,7 +188,9 @@ class CegisSolver:
 
         Constraints without unknown coefficients are assumed to have been
         discharged by plain validity checking already; they are nevertheless
-        accepted here and simply verified.
+        accepted here and simply verified.  A verification query the solver
+        cannot decide rejects the system (``None``), as the type checker
+        rejects an undecided subtyping query.
         """
         if not self.incremental:
             # The ablation mode of Table 2 (T-NInc): start from scratch.
@@ -192,6 +202,8 @@ class CegisSolver:
             self.solution.setdefault(name, 0)
         for _ in range(self.max_rounds):
             violated = self._find_counterexample(constraints)
+            if violated is _UNDECIDED:
+                return None
             if violated is None:
                 return dict(self.solution)
             example, violated_constraints = violated
@@ -211,16 +223,21 @@ class CegisSolver:
     # -- verification -------------------------------------------------------
     def _find_counterexample(
         self, constraints: Sequence[ResourceConstraint]
-    ) -> Optional[Tuple[Example, List[ResourceConstraint]]]:
-        """Search for an example violating the current solution."""
+    ) -> Optional[Tuple[Example, List[ResourceConstraint]]] | object:
+        """Search for an example violating the current solution.
+
+        Returns :data:`_UNDECIDED` when a verification query cannot be
+        decided: the current solution is then not known to be correct.
+        """
         for rc in constraints:
             self.stats.verification_queries += 1
             query = self._violation_query(rc, self.solution)
             try:
                 with trace.span("cegis.verify"):
                     model = self.solver.check_sat(query)
-            except Exception:
-                model = None  # conservatively treat unencodable queries as consistent
+            except (SolverError, EncodingError):
+                self.stats.undecided += 1
+                return _UNDECIDED
             if model is None:
                 continue
             example = Example(dict(model.ints))
@@ -254,7 +271,11 @@ class CegisSolver:
         return t.conj(rc.guard, violation)
 
     def _is_violated(self, rc: ResourceConstraint, example: Example) -> bool:
-        """Whether ``rc`` (under the current solution) is violated by ``example``."""
+        """Whether ``rc`` (under the current solution) is violated by ``example``.
+
+        An undecided check counts as violated, so the constraint is re-solved
+        on the example rather than assumed to hold.
+        """
         instantiated = self._instantiated_expr(rc, self.solution)
         violation = (
             (instantiated < 0)
@@ -265,8 +286,9 @@ class CegisSolver:
         grounded = example.substitute_into(query)
         try:
             return self.solver.check_sat(grounded) is not None
-        except Exception:
-            return False
+        except (SolverError, EncodingError):
+            self.stats.undecided += 1
+            return True
 
     # -- synthesis ----------------------------------------------------------
     def _synthesize(
@@ -359,8 +381,11 @@ class CegisSolver:
                 return []  # the example does not satisfy the guard: vacuous
             expr = example.substitute_into(rc.expr)
             linexpr = linearize(expr)
-        except Exception:
-            return []  # unencodable after grounding: skip this example
+        except (SolverError, EncodingError):
+            # Skipping an example only weakens the synthesis query; the
+            # verification step still has to accept the coefficients.
+            self.stats.undecided += 1
+            return []
         # expr >= 0  <=>  -expr <= 0
         constraints = [LinConstraint(-linexpr)]
         if rc.equality:

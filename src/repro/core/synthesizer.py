@@ -501,7 +501,7 @@ def synthesize(
     """Synthesize a program for ``goal`` under ``config`` (default: ReSyn).
 
     ``solver`` injects a long-lived solver whose warm state (shared atom
-    table, gate cache, lemma pool) is reused across calls; omitted, every
+    table, gate cache, clause database) is reused across calls; omitted, every
     call gets a fresh one.
     """
     return Synthesizer(goal, config, solver=solver).synthesize()

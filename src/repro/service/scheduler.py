@@ -315,7 +315,7 @@ def _execute_payload(payload: dict) -> dict:
     if job_timeout is not None and (config.timeout is None or job_timeout < config.timeout):
         config.timeout = job_timeout
     # Warm execution: reuse this process's resident solver (gate cache, atom
-    # table, lemma pool, validity/model LRUs) across jobs.  Requested by the
+    # table, clause database, validity/model LRUs) across jobs.  Requested by the
     # scheduler per payload, vetoed by REPRO_WARM=off in the *worker's*
     # environment — sound either way because the search is verdict-driven,
     # so warm caches change cost, never the synthesized program.

@@ -1,14 +1,15 @@
 """Warm solver state for long-lived synthesis workers.
 
 A batch-mode worker builds the hash-consed term intern table, the shared
-Tseitin gate cache and its learned theory lemmas from scratch for every job.
+Tseitin gate cache and its clause database (gate clauses plus learned theory
+lemmas) from scratch for every job.
 PR 7's workers are already long-lived processes, so the intern table persists
 for free — but the :class:`~repro.smt.solver.Solver` (atom table, gate cache,
-lemma pool, validity/model LRUs) was still created per job.  This module
+clause database, validity/model LRUs) was still created per job.  This module
 keeps **one solver per worker process** and hands it to every job the worker
 executes, which is the single biggest cross-job win available (ROADMAP item
-1): the second job onward replays gate clauses, shares theory lemmas and hits
-the validity cache instead of re-deriving everything.
+1): the second job onward replays gates, propagates earlier theory lemmas and
+hits the validity cache instead of re-deriving everything.
 
 Sharing is sound for the byte-identity contract because the search is
 verdict-driven (``repro.core.synthesizer``): the solver only ever contributes
@@ -18,12 +19,12 @@ change *how fast* a verdict arrives, never the verdict — so programs are
 byte-identical warm or cold, which ``REPRO_WARM=off`` lets CI prove by A/B.
 
 Lifecycle: the per-process :class:`WarmState` singleton is created on first
-use, serves jobs until its lemma pool outgrows :data:`MAX_LEMMA_POOL` (the
-one unbounded structure the solver keeps), then recycles the solver — a
-bounded-memory guarantee for servers that stay up for weeks.  Every job gets
-a ``warm`` counter block (cache sizes found at job start, reuse hits during
-the job) that the scheduler strips from cached records and aggregates into
-the ``warm_state`` block of scheduler/server stats.
+use, serves jobs until its clause database outgrows :data:`MAX_SAT_CLAUSES`,
+then recycles the solver — a bounded-memory guarantee for servers that stay
+up for weeks.  Every job gets a ``warm`` counter block (cache sizes found at
+job start, reuse hits during the job) that the scheduler strips from cached
+records and aggregates into the ``warm_state`` block of scheduler/server
+stats.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ from repro.smt.solver import Solver
 #: guard in CI runs the same jobs with REPRO_WARM=off and diffs programs).
 ENV_WARM = "REPRO_WARM"
 
-#: Recycle the warm solver once its lemma pool outgrows this (the lemma pool
-#: is the one structure the solver does not bound itself; the gate cache and
-#: the validity/model LRUs are already capped).
-MAX_LEMMA_POOL = 10_000
+#: Recycle the warm solver once its clause database (gate clauses plus theory
+#: lemmas) outgrows this.  The encoder rebuilds the database by itself only
+#: when its gate cache fills, which a warm worker reaches late; the
+#: validity/model LRUs are already capped.
+MAX_SAT_CLAUSES = 100_000
 
 
 def env_allows() -> bool:
@@ -57,8 +59,8 @@ def enabled(requested: object) -> bool:
 class WarmState:
     """One worker process's resident solver plus its reuse accounting."""
 
-    def __init__(self, max_lemma_pool: int = MAX_LEMMA_POOL) -> None:
-        self.max_lemma_pool = max_lemma_pool
+    def __init__(self, max_sat_clauses: int = MAX_SAT_CLAUSES) -> None:
+        self.max_sat_clauses = max_sat_clauses
         self.solver = Solver()
         #: Jobs served by this process's warm solver(s), monotonically.
         self.jobs_served = 0
@@ -66,7 +68,7 @@ class WarmState:
         self.resets = 0
 
     def _maybe_recycle(self) -> None:
-        if len(self.solver._lemma_pool) > self.max_lemma_pool:
+        if self.solver.warm_sizes()["sat_clauses"] > self.max_sat_clauses:
             self.solver = Solver()
             self.resets += 1
 
@@ -97,11 +99,10 @@ class WarmState:
             "reused": any(sizes.values()),
             "gate_entries_at_start": sizes["gate_entries"],
             "atom_entries_at_start": sizes["atom_entries"],
-            "lemma_pool_at_start": sizes["lemma_pool"],
+            "sat_clauses_at_start": sizes["sat_clauses"],
             "valid_entries_at_start": sizes["valid_entries"],
             "gate_hits": delta["gate_hits"],
             "gate_clauses_reused": delta["gate_clauses_reused"],
-            "lemmas_shared": delta["lemmas_shared"],
             "valid_hits": delta["valid_cache_hits"],
             "model_hits": delta["model_cache_hits"],
             "resets": self.resets,
@@ -135,9 +136,9 @@ def aggregate(block: Dict[str, object], job_warm: Dict[str, object]) -> None:
     block["jobs"] = int(block.get("jobs", 0)) + 1
     if job_warm.get("reused"):
         block["reused_jobs"] = int(block.get("reused_jobs", 0)) + 1
-        for key in ("gate_hits", "gate_clauses_reused", "lemmas_shared", "valid_hits", "model_hits"):
+        for key in ("gate_hits", "gate_clauses_reused", "valid_hits", "model_hits"):
             block[key] = int(block.get(key, 0)) + int(job_warm.get(key, 0))
-    for key in ("gate_entries_at_start", "atom_entries_at_start", "lemma_pool_at_start"):
+    for key in ("gate_entries_at_start", "atom_entries_at_start", "sat_clauses_at_start"):
         peak = "peak_" + key.replace("_at_start", "")
         block[peak] = max(int(block.get(peak, 0)), int(job_warm.get(key, 0)))
     block["resets"] = max(int(block.get("resets", 0)), int(job_warm.get("resets", 0)))

@@ -17,18 +17,24 @@ This module implements the corresponding reduction for the Re2 fragment:
 * the resulting propositional structure is Tseitin-encoded into CNF whose
   theory atoms are linear constraints ``expr <= 0``.
 
-:class:`IncrementalEncoder` is the only entry point.  It encodes each formula
-once against a persistent atom table and Tseitin gate cache, and its output
-feeds the lazy DPLL(T) loop in :mod:`repro.smt.solver`.  The preprocessing
-passes are memoized per interned term in bounded module-wide tables; since
-they are pure term-to-term maps, the memos are always on.
+:class:`IncrementalEncoder` is the only entry point.  It owns one clause
+database and one :class:`~repro.smt.sat.SatSolver` for its lifetime, plus a
+persistent atom table and Tseitin gate cache.  Each formula node's gate
+clauses enter the database once, when the node is first encoded; encoding a
+formula afterwards only collects its root literal, its theory atoms and its
+*cone* (the variables of its clauses and atoms), which the lazy DPLL(T) loop
+in :mod:`repro.smt.solver` solves against.  The preprocessing passes are
+memoized per interned term in bounded module-wide tables, and the facts they
+scan for (data equalities, set atoms, element terms, base sets) are cached
+on the interned nodes themselves, so a shared subterm is walked once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.logic import terms as t
 from repro.logic.simplify import simplify
@@ -36,7 +42,7 @@ from repro.logic.sorts import BOOL, DATA, INT, SET, Sort
 from repro.logic.terms import Term
 from repro.obs import metrics, trace
 from repro.smt.linexpr import LinExpr
-from repro.smt.sat import CNF
+from repro.smt.sat import CNF, SatSolver
 
 
 class EncodingError(Exception):
@@ -61,7 +67,7 @@ class EncoderStats:
     #: shared Tseitin gate cache traffic (per formula node, atoms included).
     gate_queries: int = 0
     gate_hits: int = 0
-    #: clauses replayed from the gate cache instead of being rebuilt.
+    #: gate clauses a cache hit found in the database instead of re-adding.
     gate_clauses_reused: int = 0
 
     def gate_hit_rate(self) -> float:
@@ -74,8 +80,13 @@ _PRE_CACHE: Dict[Term, Term] = {}
 _ITE_CACHE: Dict[Term, Term] = {}
 _ITE_NUMERIC_CACHE: Dict[Term, Term] = {}
 _NNF_CACHE: Dict[Tuple[Term, bool], Term] = {}
-#: Bound for the module-level caches; cleared wholesale when exceeded.
+#: Bound for the module-level caches; cleared wholesale when exceeded.  An
+#: encoder's gate cache uses the same bound, and rebuilds its clause
+#: database when it clears.
 _MODULE_CACHE_MAX = 1 << 16
+#: Bound on the per-formula encodings one encoder keeps (an LRU, sized like
+#: the solver's validity cache).
+_FORMULA_CACHE_MAX = 8192
 
 stats = EncoderStats()
 
@@ -131,25 +142,20 @@ def _preprocess(formula: Term) -> Term:
 
 @dataclass
 class FormulaEncoding:
-    """A formula's encoding against a shared atom table.
+    """A formula's encoding against its encoder's shared clause database.
 
-    ``cnf`` holds only this formula's Tseitin gate clauses (plus any theory
-    lemmas the solver appends); the root literal is *not* asserted as a unit
-    clause — the DPLL(T) loop solves under the assumption ``root`` instead,
-    so learned lemmas live alongside reusable gate clauses.
+    The formula owns no clauses: its gate clauses live in the encoder's
+    database, and the root literal is *not* asserted there — the DPLL(T)
+    loop solves under the assumption ``root``, restricted to ``cone``.
     """
 
     root: int
-    cnf: CNF
-    #: relevant theory atoms of this formula (subsets of the shared tables).
+    #: theory atoms of this formula (subsets of the shared tables).
     linear_atoms: Dict[int, LinExpr]
     bool_atoms: Dict[int, Term]
-    atom_vars: frozenset
+    #: every variable of the formula's clauses and atoms.
+    cone: frozenset
     trivial: Optional[bool] = None
-    #: per-encoding solver state, attached lazily by repro.smt.solver.
-    sat: Optional[object] = None
-    lemma_pos: int = 0
-    lemma_seen: set = field(default_factory=set)
 
 
 @dataclass
@@ -157,38 +163,44 @@ class _GateEntry:
     """The shared-cache record of one encoded formula node.
 
     ``literal`` is the node's Tseitin literal against the encoder's persistent
-    variable space; ``clauses`` are the node's *own* gate clauses (children
-    keep theirs in their own entries — replay recurses through ``deps``);
-    ``lin_atoms``/``bool_atoms`` are the theory atoms registered directly by
-    this node, and ``max_var`` the largest variable the replay introduces.
+    variable space.  The node's *own* gate clauses were added to the database
+    when it was built (children keep theirs in their own entries — replay
+    recurses through ``deps``); ``num_clauses`` counts them and ``cone`` holds
+    their variables together with the theory atoms registered directly by
+    this node (``lin_atoms``/``bool_atoms``).
     """
 
     literal: int
-    clauses: Tuple[Tuple[int, ...], ...]
+    num_clauses: int
+    cone: Tuple[int, ...]
     lin_atoms: Tuple[Tuple[int, LinExpr], ...]
     bool_atoms: Tuple[Tuple[int, Term], ...]
     deps: Tuple[Term, ...]
-    max_var: int
 
 
 class IncrementalEncoder:
-    """Persistent encoder whose atom table is shared across queries.
+    """Persistent encoder that owns one clause database and SAT solver.
 
     Every theory atom (a normalized linear constraint or an opaque Boolean
     term) maps to one SAT variable for the lifetime of the encoder, no matter
     how many formulas mention it.  This is what makes theory lemmas portable:
-    a blocking clause learned while solving one query speaks about the same
-    variables in every later query, so the solver can replay it wherever the
-    lemma's atoms all occur (see ``Solver._sync_lemmas``).
+    a blocking clause learned while solving one query is a fact about the
+    theory over the same variables every later query uses, so the solver adds
+    it to the shared database once (see :mod:`repro.smt.solver`).
 
     On top of the atom table sits the **shared Tseitin gate cache**
-    (``_gate_cache``): every non-atom formula node keeps its gate output
-    variable and defining clauses for the lifetime of the encoder, keyed on
-    the hash-consed (interned) term.  A subformula that reappears in a later
-    query — the norm across CEGIS iterations and enumeration branches, which
-    re-check conjunctions sharing most of their structure — is *replayed*:
-    its existing clauses are appended to the new formula's clause group with
-    no new auxiliary variables and no newly built clause tuples.
+    (``_gate_cache``): every formula node keeps its gate output variable for
+    the lifetime of the encoder, keyed on the hash-consed (interned) term,
+    and its defining clauses are added to ``cnf`` exactly once.  A subformula
+    that reappears in a later query — the norm across CEGIS iterations and
+    enumeration branches, which re-check conjunctions sharing most of their
+    structure — is *replayed*: replay collects its atoms and cone and adds no
+    variable and no clause.
+
+    Memory stays bounded: the per-formula encodings are an LRU of
+    :data:`_FORMULA_CACHE_MAX` entries, and when the gate cache reaches
+    :data:`_MODULE_CACHE_MAX` nodes it is cleared together with the
+    encodings, the clause database and the SAT solver.
     """
 
     def __init__(self) -> None:
@@ -197,13 +209,20 @@ class IncrementalEncoder:
         #: global atom tables (var -> atom), across all formulas.
         self.linear_atoms: Dict[int, LinExpr] = {}
         self.bool_atoms: Dict[int, Term] = {}
-        self._cache: Dict[Term, FormulaEncoding] = {}
+        self._cache: "OrderedDict[Term, FormulaEncoding]" = OrderedDict()
         #: shared Tseitin gate cache: preprocessed node -> gate entry.
         self._gate_cache: Dict[Term, _GateEntry] = {}
         self.stats = EncoderStats()
+        self._new_database()
+
+    def _new_database(self) -> None:
+        """Start an empty clause database and SAT solver (same variable space)."""
+        self.cnf = CNF(num_vars=self._counter)
+        self.sat = SatSolver(self.cnf)
 
     def new_var(self) -> int:
         self._counter += 1
+        self.cnf.num_vars = self._counter
         return self._counter
 
     def forget_formulas(self) -> None:
@@ -212,33 +231,36 @@ class IncrementalEncoder:
 
     def encode(self, formula: Term) -> FormulaEncoding:
         self.stats.encode_calls += 1
-        cached = self._cache.get(formula)
+        cache = self._cache
+        cached = cache.get(formula)
         if cached is not None:
+            cache.move_to_end(formula)
             self.stats.encode_cache_hits += 1
             return cached
         with trace.span("smt.encode") as sp:
             # Bound the gate cache *between* formula builds only: mid-build
             # eviction could orphan a parent entry whose children are gone.
+            # The encodings and theory lemmas speak about the dropped gates'
+            # clauses, so the database goes with them.
             if len(self._gate_cache) >= _MODULE_CACHE_MAX:
                 self._gate_cache.clear()
+                cache.clear()
+                self._new_database()
+            clauses_before = len(self.cnf.clauses)
             preprocessed = _preprocess(formula)
             if isinstance(preprocessed, t.BoolConst):
-                encoding = FormulaEncoding(
-                    0, CNF(), {}, {}, frozenset(), trivial=preprocessed.value
-                )
+                encoding = FormulaEncoding(0, {}, {}, frozenset(), trivial=preprocessed.value)
             else:
                 builder = _CnfBuilder(shared=self)
                 root = builder.literal_for(preprocessed)
                 encoding = FormulaEncoding(
-                    root,
-                    builder.cnf,
-                    builder.linear_atoms,
-                    builder.bool_atoms,
-                    frozenset(builder.linear_atoms) | frozenset(builder.bool_atoms),
+                    root, builder.linear_atoms, builder.bool_atoms, frozenset(builder.cone)
                 )
             if sp:
-                sp.count("clauses", len(encoding.cnf.clauses))
-        self._cache[formula] = encoding
+                sp.count("clauses", len(self.cnf.clauses) - clauses_before)
+        cache[formula] = encoding
+        if len(cache) > _FORMULA_CACHE_MAX:
+            cache.popitem(last=False)
         return encoding
 
 
@@ -334,20 +356,35 @@ def _term_sort(term: Term) -> Sort:
     return term.sort
 
 
+def _is_data_equality(term: Term) -> bool:
+    return (
+        isinstance(term, t.Eq)
+        and _term_sort(term.left) == DATA
+        and _term_sort(term.right) == DATA
+    )
+
+
+def _has_data_equality(term: Term) -> bool:
+    """Whether ``term`` contains a data equality (cached on the node)."""
+    cached = term.__dict__.get("_has_data_eq")
+    if cached is None:
+        cached = _is_data_equality(term) or any(_has_data_equality(c) for c in term.children())
+        object.__setattr__(term, "_has_data_eq", cached)
+    return cached
+
+
 def _expand_data_equalities(formula: Term) -> Term:
     """Interpret ``l == r`` between data-sorted terms as measure equality."""
+    if not _has_data_equality(formula):
+        return formula
     apps = t.apps_in(formula)
 
     def expand(term: Term) -> Term:
-        if (
-            isinstance(term, t.Eq)
-            and _term_sort(term.left) == DATA
-            and _term_sort(term.right) == DATA
-        ):
+        if _is_data_equality(term):
             return _measure_equalities(term.left, term.right, apps)
-        children = term.children()
-        if not children:
+        if not _has_data_equality(term):
             return term
+        children = term.children()
         new_children = tuple(expand(c) for c in children)
         if isinstance(term, t.SetAll):
             return t.SetAll(term.var, new_children[0], new_children[1])
@@ -435,44 +472,71 @@ def _ground_sets(formula: Term, fresh: _FreshNames) -> Term:
     if not _mentions_sets(formula):
         return formula
 
-    elements = _collect_element_terms(formula)
     skolems: List[Term] = []
     _assign_skolems(formula, positive=True, fresh=fresh, out=skolems)
-    universe: List[Term] = list(dict.fromkeys(elements + skolems))
+    universe: List[Term] = list(dict.fromkeys(_element_terms(formula) + tuple(skolems)))
     skolem_iter = iter(skolems)
     grounded = _ground(formula, positive=True, universe=universe, skolems=skolem_iter)
     axioms = _element_congruence_axioms(grounded, universe)
     return t.conj(grounded, *axioms)
 
 
-def _mentions_sets(formula: Term) -> bool:
-    return any(
-        isinstance(
-            sub,
-            (
-                t.SetMember,
-                t.SetSubset,
-                t.SetAll,
-                t.EmptySet,
-                t.SetSingleton,
-                t.SetUnion,
-                t.SetIntersect,
-                t.SetDiff,
-            ),
+_SET_NODES = (
+    t.SetMember,
+    t.SetSubset,
+    t.SetAll,
+    t.EmptySet,
+    t.SetSingleton,
+    t.SetUnion,
+    t.SetIntersect,
+    t.SetDiff,
+)
+
+
+def _mentions_sets(term: Term) -> bool:
+    """Whether ``term`` contains a set node or set equality (cached on the node)."""
+    cached = term.__dict__.get("_mentions_sets")
+    if cached is None:
+        cached = (
+            isinstance(term, _SET_NODES)
+            or (isinstance(term, t.Eq) and _is_set_sorted(term.left))
+            or any(_mentions_sets(c) for c in term.children())
         )
-        or (isinstance(sub, t.Eq) and _is_set_sorted(sub.left))
-        for sub in formula.walk()
-    )
+        object.__setattr__(term, "_mentions_sets", cached)
+    return cached
 
 
-def _collect_element_terms(formula: Term) -> List[Term]:
-    result: List[Term] = []
-    for sub in formula.walk():
-        if isinstance(sub, t.SetSingleton):
-            result.append(sub.elem)
-        elif isinstance(sub, t.SetMember):
-            result.append(sub.elem)
-    return list(dict.fromkeys(result))
+def _first_occurrences(own: Tuple[Term, ...], children: Iterable[Term], fact) -> Tuple[Term, ...]:
+    """``own`` then each child's ``fact`` tuple, keeping first occurrences.
+
+    Equal to deduplicating the pre-order walk, since each child's tuple is
+    already deduplicated in its own pre-order.
+    """
+    parts = [part for part in (own, *(fact(c) for c in children)) if part]
+    if len(parts) <= 1:
+        return parts[0] if parts else ()
+    return tuple(dict.fromkeys(itertools.chain.from_iterable(parts)))
+
+
+def _element_terms(term: Term) -> Tuple[Term, ...]:
+    """Elements of singletons and memberships, in pre-order (cached on the node)."""
+    cached = term.__dict__.get("_element_terms")
+    if cached is None:
+        own = (term.elem,) if isinstance(term, (t.SetSingleton, t.SetMember)) else ()
+        cached = _first_occurrences(own, term.children(), _element_terms)
+        object.__setattr__(term, "_element_terms", cached)
+    return cached
+
+
+def _member_base_sets(term: Term) -> Tuple[Term, ...]:
+    """Base sets of grounded membership atoms, in pre-order (cached on the node)."""
+    cached = term.__dict__.get("_member_base_sets")
+    if cached is None:
+        is_member = isinstance(term, t.App) and term.func == MEMBER_FUNC
+        own = (term.args[1],) if is_member else ()
+        cached = _first_occurrences(own, term.children(), _member_base_sets)
+        object.__setattr__(term, "_member_base_sets", cached)
+    return cached
 
 
 def _is_negative_set_atom(term: Term) -> bool:
@@ -564,13 +628,7 @@ def _membership(elem: Term, set_term: Term) -> Term:
 
 def _element_congruence_axioms(grounded: Term, universe: List[Term]) -> List[Term]:
     """``e1 = e2 ==> (e1 ∈ S <=> e2 ∈ S)`` for base sets S in the query."""
-    base_sets = list(
-        dict.fromkeys(
-            sub.args[1]
-            for sub in grounded.walk()
-            if isinstance(sub, t.App) and sub.func == MEMBER_FUNC
-        )
-    )
+    base_sets = _member_base_sets(grounded)
     axioms: List[Term] = []
     for e1, e2 in itertools.combinations(universe, 2):
         for base in base_sets:
@@ -594,10 +652,11 @@ def _element_congruence_axioms(grounded: Term, universe: List[Term]) -> List[Ter
 class _Frame:
     """Capture record for one gate-cache miss (one formula node being built)."""
 
-    __slots__ = ("clauses", "lin_atoms", "bool_atoms", "deps")
+    __slots__ = ("num_clauses", "cone", "lin_atoms", "bool_atoms", "deps")
 
     def __init__(self) -> None:
-        self.clauses: List[Tuple[int, ...]] = []
+        self.num_clauses = 0
+        self.cone: set = set()
         self.lin_atoms: List[Tuple[int, LinExpr]] = []
         self.bool_atoms: List[Tuple[int, Term]] = []
         self.deps: List[Term] = []
@@ -607,53 +666,52 @@ class _CnfBuilder:
     """Tseitin transformation of one formula against an :class:`IncrementalEncoder`.
 
     Theory-atom variables come from the encoder's persistent table — the same
-    atom in two formulas maps to the same variable — gate variables are drawn
-    from the shared counter (so all clause groups live in one variable
-    space), and every non-atom node consults the encoder's persistent gate
-    cache: a node already encoded by *any* earlier formula replays its cached
-    literal and clause tuples into this formula's clause group instead of
-    allocating fresh auxiliary variables and rebuilding clauses.
+    atom in two formulas maps to the same variable — and gate variables from
+    its shared counter.  Every node consults the encoder's persistent gate
+    cache: a node no earlier formula encoded adds its gate clauses to the
+    encoder's database; a node already encoded by *any* earlier formula is
+    replayed, which collects its literal, atoms and cone and adds nothing.
+    A gate's output variable is drawn after its children's literals, so it
+    is the largest variable of each clause defining it — the property the
+    cone-restricted SAT search relies on.
     """
 
     def __init__(self, shared: IncrementalEncoder) -> None:
-        self.cnf = CNF()
         self._shared = shared
+        self._cnf = shared.cnf
         self.linear_atoms: Dict[int, LinExpr] = {}
         self.bool_atoms: Dict[int, Term] = {}
+        self.cone: set = set()
         self._atom_cache: Dict[object, int] = shared._atom_cache
         self._node_cache: Dict[Term, int] = {}
         #: capture stack: one frame per in-flight gate-cache miss.
         self._frames: List[_Frame] = []
-
-    def _new_var(self) -> int:
-        var = self._shared.new_var()
-        if var > self.cnf.num_vars:
-            self.cnf.num_vars = var
-        return var
 
     # -- atoms ------------------------------------------------------------
     def _linear_atom_var(self, expr: LinExpr) -> int:
         key = ("lin", expr)
         var = self._atom_cache.get(key)
         if var is None:
-            var = self._new_var()
+            var = self._shared.new_var()
             self._atom_cache[key] = var
             self._shared.linear_atoms[var] = expr
         self.linear_atoms.setdefault(var, expr)
-        if self._frames:
-            self._frames[-1].lin_atoms.append((var, expr))
+        frame = self._frames[-1]
+        frame.lin_atoms.append((var, expr))
+        frame.cone.add(var)
         return var
 
     def _bool_atom_var(self, atom: Term) -> int:
         key = ("bool", atom)
         var = self._atom_cache.get(key)
         if var is None:
-            var = self._new_var()
+            var = self._shared.new_var()
             self._atom_cache[key] = var
             self._shared.bool_atoms[var] = atom
         self.bool_atoms.setdefault(var, atom)
-        if self._frames:
-            self._frames[-1].bool_atoms.append((var, atom))
+        frame = self._frames[-1]
+        frame.bool_atoms.append((var, atom))
+        frame.cone.add(var)
         return var
 
     # -- formula structure --------------------------------------------------
@@ -678,30 +736,25 @@ class _CnfBuilder:
         finally:
             frames.pop()
         self._node_cache[term] = literal
-        max_var = abs(literal)
-        for clause in frame.clauses:
-            for lit in clause:
-                if lit > max_var:
-                    max_var = lit
-                elif -lit > max_var:
-                    max_var = -lit
+        cone = tuple(frame.cone)
+        self.cone.update(cone)
         shared._gate_cache[term] = _GateEntry(
             literal,
-            tuple(frame.clauses),
+            frame.num_clauses,
+            cone,
             tuple(frame.lin_atoms),
             tuple(frame.bool_atoms),
             tuple(frame.deps),
-            max_var,
         )
         return literal
 
     def _replay(self, term: Term, entry: _GateEntry) -> None:
-        """Emit a cached node into this formula: atoms, clauses, children.
+        """Collect a cached node into this formula: atoms, cone, children.
 
         Recursion goes through the cached dependency list with the formula's
-        node cache as the visited set, so every clause group the subtree needs
-        lands in this formula exactly once — with zero new variables and zero
-        newly constructed clause tuples.
+        node cache as the visited set, so every node of the subtree is
+        collected exactly once — with zero new variables and zero clauses,
+        since the node's clauses are already in the database.
         """
         self._node_cache[term] = entry.literal
         shared = self._shared
@@ -727,15 +780,12 @@ class _CnfBuilder:
             self.linear_atoms.setdefault(var, expr)
         for var, atom in entry.bool_atoms:
             self.bool_atoms.setdefault(var, atom)
-        cnf = self.cnf
-        cnf.clauses.extend(entry.clauses)
-        if entry.max_var > cnf.num_vars:
-            cnf.num_vars = entry.max_var
-        shared.stats.gate_clauses_reused += len(entry.clauses)
+        self.cone.update(entry.cone)
+        shared.stats.gate_clauses_reused += entry.num_clauses
 
     def _build(self, term: Term) -> int:
         if isinstance(term, t.BoolConst):
-            var = self._new_var()
+            var = self._shared.new_var()
             self._emit((var,) if term.value else (-var,))
             return var
         if isinstance(term, t.Not):
@@ -758,15 +808,17 @@ class _CnfBuilder:
         return self._atom_literal(term)
 
     def _emit(self, literals: Tuple[int, ...]) -> None:
-        """Add a clause, crediting it to the node being captured (if any)."""
-        cnf = self.cnf
+        """Add a clause to the database, crediting it to the node being built."""
+        cnf = self._cnf
         before = len(cnf.clauses)
         cnf.add_clause(literals)
-        if self._frames and len(cnf.clauses) > before:
-            self._frames[-1].clauses.append(cnf.clauses[-1])
+        if len(cnf.clauses) > before:
+            frame = self._frames[-1]
+            frame.num_clauses += 1
+            frame.cone.update(lit if lit > 0 else -lit for lit in literals)
 
     def _gate(self, literals: List[int], is_and: bool) -> int:
-        out = self._new_var()
+        out = self._shared.new_var()
         if is_and:
             for lit in literals:
                 self._emit((-out, lit))

@@ -2,15 +2,24 @@
 
 The Boolean skeletons produced by the Re2 validity checker are small (tens of
 variables and clauses), but the DPLL(T) loop in :mod:`repro.smt.solver` solves
-the *same* skeleton many times while theory lemmas accumulate.  The engine
-here is therefore built for incremental use:
+many closely related skeletons while theory lemmas accumulate.  The engine
+here is therefore built for incremental use against **one** clause database
+per solver:
 
 * :class:`SatSolver` attaches to a :class:`CNF` clause database and ingests
-  newly added clauses lazily, so learned theory lemmas never force a copy of
-  the clause list;
+  newly added clauses lazily, so every clause is attached exactly once, no
+  matter how many queries it serves;
 * queries are solved *under assumptions* (extra literals asserted for one call
   only), which is how the lazy DPLL(T) loop asserts the root literal of a
-  Tseitin encoding against a shared clause database;
+  Tseitin encoding against the shared database;
+* a query may be restricted to a *cone* of variables: the solver branches
+  only on cone variables, and propagation skips every clause (unit, problem
+  or learned) whose largest variable lies outside the cone, so a query does
+  not propagate through the parts of the database it does not mention.
+  Skipping a clause only removes propagation, so the returned assignment
+  covers the cone and satisfies every clause all of whose variables lie in
+  it; whether the rest of the database may be ignored is the caller's
+  argument to make (:mod:`repro.smt.solver` states it);
 * unit propagation uses the two-watched-literals scheme, so propagating an
   assignment touches only the clauses watching the falsified literal instead
   of rescanning the whole clause list per decision level;
@@ -47,7 +56,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import metrics
 
@@ -77,6 +86,8 @@ class SatStats:
     learned_clauses: int = 0
     deleted_clauses: int = 0
     db_reductions: int = 0
+    #: problem clauses a solver took in from its database (set-up work).
+    ingested_clauses: int = 0
 
 
 stats = SatStats()
@@ -93,6 +104,7 @@ metrics.REGISTRY.register_view(
         "learned_clauses": stats.learned_clauses,
         "deleted_clauses": stats.deleted_clauses,
         "db_reductions": stats.db_reductions,
+        "ingested_clauses": stats.ingested_clauses,
     },
 )
 
@@ -138,38 +150,42 @@ class CNF:
 
 
 class _Clause:
-    """A watched clause; ``lits[0]`` and ``lits[1]`` are the watched literals."""
+    """A watched clause; ``lits[0]`` and ``lits[1]`` are the watched literals.
 
-    __slots__ = ("lits", "learned", "activity")
+    ``top`` is the clause's largest variable (the cone test of
+    :meth:`SatSolver._propagate`).
+    """
+
+    __slots__ = ("lits", "learned", "activity", "top")
 
     def __init__(self, lits: Sequence[int], learned: bool = False) -> None:
         self.lits = list(lits)
         self.learned = learned
         self.activity = 0.0
+        self.top = max(abs(lit) for lit in lits)
 
 
 class SatSolver:
-    """Incremental CDCL engine over a (growing) clause database.
+    """Incremental CDCL engine over one (growing) clause database.
 
     The solver never copies the database: clauses added to the attached
     :class:`CNF` after construction are ingested on the next :meth:`solve`
-    call, and per-query state (assignment trail, decision levels, implication
-    reasons) is rebuilt from the assumptions each time.  Watch lists, variable
-    activities, saved phases and the learned-clause database persist across
-    calls: learned clauses are consequences of the database alone (assumption
-    literals appear *inside* learned clauses rather than being assumed), so
-    reusing them under different assumptions is sound.
+    call, once each, and per-query state (assignment trail, decision levels,
+    implication reasons) is rebuilt from the assumptions each time.  Watch
+    lists, variable activities, saved phases and the learned-clause database
+    persist across calls: learned clauses are consequences of the database
+    alone (assumption literals appear *inside* learned clauses rather than
+    being assumed), so reusing them under different assumptions and cones is
+    sound.
     """
 
     def __init__(self, cnf: CNF) -> None:
         self.cnf = cnf
         self._ingested = 0
         self._watch: Dict[int, List[_Clause]] = {}
+        #: unit clauses, problem and learned alike.
         self._units: List[int] = []
         self._has_empty = False
-        #: variables occurring in ingested clauses (branching universe).
-        self._vars: List[int] = []
-        self._vars_seen: set = set()
         self._activity: Dict[int, float] = {}
         self._phase: Dict[int, bool] = {}
         self._var_inc = 1.0
@@ -177,10 +193,13 @@ class SatSolver:
         self._cla_inc = 1.0
         self._max_learned = 256
         self._qhead = 0
+        #: the variables of the query in progress (branching universe).
+        self._cone: Collection[int] = ()
 
     # -- clause ingestion ---------------------------------------------------
     def _ingest(self) -> None:
         clauses = self.cnf.clauses
+        stats.ingested_clauses += len(clauses) - self._ingested
         for index in range(self._ingested, len(clauses)):
             clause = clauses[index]
             if not clause:
@@ -189,11 +208,6 @@ class SatSolver:
                 self._units.append(clause[0])
             else:
                 self._attach(_Clause(clause))
-            for lit in clause:
-                var = abs(lit)
-                if var not in self._vars_seen:
-                    self._vars_seen.add(var)
-                    self._vars.append(var)
         self._ingested = len(clauses)
 
     def _attach(self, clause: _Clause) -> None:
@@ -205,17 +219,26 @@ class SatSolver:
         self._watch[clause.lits[1]].remove(clause)
 
     # -- solving --------------------------------------------------------------
-    def solve(self, assumptions: Sequence[int] = ()) -> Optional[Dict[int, bool]]:
+    def solve(
+        self, assumptions: Sequence[int] = (), cone: Optional[Collection[int]] = None
+    ) -> Optional[Dict[int, bool]]:
         """A satisfying assignment extending ``assumptions``, or ``None``.
 
-        The returned assignment covers every variable that was assigned during
-        the search; callers default the remaining variables as they see fit.
-        The dictionary is freshly allocated and safe to mutate.
+        ``cone`` restricts the query to those variables (it must contain the
+        assumptions' variables); ``None`` means every variable of the
+        database.  The returned assignment covers the whole cone and may
+        assign further variables; callers default the remaining variables as
+        they see fit.  The dictionary is freshly
+        allocated and safe to mutate.
         """
         self._ingest()
         stats.solves += 1
         if self._has_empty:
             return None
+        if cone is None:
+            top = max((abs(lit) for lit in assumptions), default=0)
+            cone = range(1, max(top, self.cnf.num_vars) + 1)
+        self._cone = cone
 
         assign: Dict[int, bool] = {}
         level: Dict[int, int] = {}
@@ -237,20 +260,14 @@ class SatSolver:
             return existing == value
 
         for literal in self._units:
-            if not enqueue(literal, None):
+            if abs(literal) in cone and not enqueue(literal, None):
                 return None
 
-        # Branching heap over occurring variables; stale entries (assigned, or
-        # superseded by a later activity bump) are filtered on pop.
+        # Branching heap over the cone; stale entries (assigned, or superseded
+        # by a later activity bump) are filtered on pop.
         activity = self._activity
-        heap = [(-activity.get(v, 0.0), v) for v in self._vars]
+        heap = [(-activity.get(v, 0.0), v) for v in cone]
         heapq.heapify(heap)
-        for literal in assumptions:
-            var = abs(literal)
-            if var not in self._vars_seen:
-                self._vars_seen.add(var)
-                self._vars.append(var)
-                heapq.heappush(heap, (-activity.get(var, 0.0), var))
 
         def backtrack(target: int) -> None:
             mark = trail_lim[target]
@@ -322,9 +339,11 @@ class SatSolver:
 
         The propagation queue head lives in ``self._qhead`` (reset by
         :meth:`solve`, rewound by its ``backtrack``) so that re-entering after
-        a conflict resumes where the trail was cut.
+        a conflict resumes where the trail was cut.  Problem clauses whose
+        largest variable lies outside the query's cone are skipped.
         """
         watch = self._watch
+        cone = self._cone
         qhead = self._qhead
         while qhead < len(trail):
             false_lit = -trail[qhead]
@@ -335,6 +354,9 @@ class SatSolver:
             i = 0
             while i < len(watching):
                 clause = watching[i]
+                if clause.top not in cone:
+                    i += 1
+                    continue
                 lits = clause.lits
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
@@ -442,7 +464,7 @@ class SatSolver:
         for var in activity:
             activity[var] *= _RESCALE_FACTOR
         self._var_inc *= _RESCALE_FACTOR
-        for var in self._vars:
+        for var in self._cone:
             if var not in assign:
                 heapq.heappush(heap, (-activity.get(var, 0.0), var))
 
@@ -456,10 +478,16 @@ class SatSolver:
         assign: Dict[int, bool],
         activity: Dict[int, float],
     ) -> Optional[int]:
-        """Pop the most active unassigned variable (lazy-heap filtering)."""
+        """Pop the most active unassigned cone variable (lazy-heap filtering).
+
+        A clause whose largest variable lies in the cone may still assign a
+        variable outside it, and conflict analysis and backtracking push such
+        variables too; they are never branched on.
+        """
+        cone = self._cone
         while heap:
             neg_act, var = heapq.heappop(heap)
-            if var in assign:
+            if var in assign or var not in cone:
                 continue
             if -neg_act != activity.get(var, 0.0):
                 continue  # stale entry; the bump pushed a fresh one
@@ -502,8 +530,8 @@ class SatSolver:
 def solve(cnf: CNF, assumptions: Sequence[int] = ()) -> Optional[Dict[int, bool]]:
     """Return a satisfying assignment (as ``var -> bool``) or ``None``.
 
-    One-shot convenience wrapper; long-lived callers should keep a
-    :class:`SatSolver` attached to their CNF instead.
+    One-shot convenience wrapper over the whole database; long-lived callers
+    should keep a :class:`SatSolver` attached to their CNF instead.
     """
     model = SatSolver(cnf).solve(assumptions)
     if model is None:

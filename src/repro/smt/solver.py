@@ -18,34 +18,41 @@ Key invariants the pipeline relies on:
 * *Term interning* (:mod:`repro.logic.terms`): every `Term` constructor
   returns the unique interned node for its structure, so formulas are valid
   dictionary keys and the caches below compare by identity-backed equality.
-* *Atom-table sharing* (:class:`repro.smt.encoder.IncrementalEncoder`): a
-  theory atom (normalized linear constraint or opaque Boolean term) maps to
-  one SAT variable for the encoder's lifetime, across all formulas.  A
-  learned theory lemma therefore states a fact about the theory itself and
-  may be replayed into any encoding whose atom set covers the lemma's
-  variables (see :meth:`Solver._sync_lemmas`).
-* *Theory lemmas are permanent*: they are appended to each encoding's clause
-  group as ordinary problem clauses, which the SAT engine never deletes
-  (only its own derived clauses are subject to learned-clause deletion), so
-  the DPLL(T) loop cannot rediscover the same conflict forever.
+* *One clause database per solver*
+  (:class:`repro.smt.encoder.IncrementalEncoder`): a theory atom maps to one
+  SAT variable and a formula node to one gate for the encoder's lifetime,
+  and every gate's Tseitin clauses and every learned theory lemma enter one
+  shared database exactly once.  Lemmas are ordinary problem clauses, which
+  the SAT engine never deletes, so the DPLL(T) loop cannot rediscover the
+  same conflict forever.
+
+The cone rule.  A query solves under the assumption of its root literal,
+restricted to its *cone* (every variable of its clauses and atoms): the SAT
+engine branches only on cone variables and skips every clause whose largest
+variable lies outside the cone.  For a Tseitin clause that variable is the
+gate it defines, so the formula's own gate clauses propagate and no other
+formula's do.  This is sound because every other problem clause is either
+the functional definition of a gate over its children or a lemma valid in
+linear integer arithmetic: any theory-consistent model of the formula
+extends to a model of the whole database, so the database is a
+conservative extension of every formula it encodes.  Clauses the SAT engine
+learns are consequences of the database, and skipping a clause only
+removes propagation.
 
 The pipeline is *incremental* across queries (the property the paper's
 T-NInc ablation shows to matter, Table 2):
 
-* formulas are encoded once against a persistent shared atom table
-  (:class:`repro.smt.encoder.IncrementalEncoder`) and re-solved against their
-  own clause group under an assumption, so repeated queries skip encoding and
-  keep previously learned theory lemmas;
-* theory lemmas are pooled and replayed into every encoding whose atoms they
-  mention (atoms are shared, so a lemma is a fact about the theory, not about
-  the query that discovered it);
+* formulas are encoded once and re-solved against the shared database, so
+  repeated queries skip encoding and every query sees every theory lemma
+  learned before it over its atoms;
 * validity results and satisfying models are memoized per interned formula in
   bounded LRU caches, with hit/miss counters on :class:`SolverStats`.
 
-There is one pipeline: every query goes through the shared encoder, lemma
-replay and the memoized LIA engine.  The memo tables are transparent (a cold
-process synthesizes the same programs as a warm one); the independent oracle
-for the theory layer is :mod:`repro.smt.lia_reference`.
+There is one pipeline: every query goes through the shared encoder, the
+shared database and the memoized LIA engine.  The memo tables are
+transparent (a cold process synthesizes the same programs as a warm one);
+the independent oracle for the theory layer is
+:mod:`repro.smt.lia_reference`.
 """
 
 from __future__ import annotations
@@ -108,7 +115,6 @@ class SolverStats:
     model_cache_hits: int = 0
     model_cache_misses: int = 0
     lemmas_learned: int = 0
-    lemmas_shared: int = 0
 
     def valid_cache_hit_rate(self) -> float:
         total = self.valid_cache_hits + self.valid_cache_misses
@@ -135,7 +141,6 @@ class Solver:
         self._model_cache: "OrderedDict[Term, Optional[Model]]" = OrderedDict()
         self._model_cache_size = model_cache_size
         self._encoder = IncrementalEncoder()
-        self._lemma_pool: List[sat.Clause] = []
         #: atom var -> negated linear atom (``expr >= 1`` as ``-expr+1 <= 0``).
         #: Atom vars are unique per encoder, so memoizing the negation keeps
         #: one stable LinExpr instance per atom across theory checks — which
@@ -206,7 +211,6 @@ class Solver:
             "model_cache_hits": stats.model_cache_hits,
             "model_cache_misses": stats.model_cache_misses,
             "lemmas_learned": stats.lemmas_learned,
-            "lemmas_shared": stats.lemmas_shared,
             "encode_calls": enc.encode_calls,
             "encode_cache_hits": enc.encode_cache_hits,
             "gate_queries": enc.gate_queries,
@@ -224,7 +228,7 @@ class Solver:
         return {
             "gate_entries": len(self._encoder._gate_cache),
             "atom_entries": len(self._encoder._atom_cache),
-            "lemma_pool": len(self._lemma_pool),
+            "sat_clauses": len(self._encoder.cnf.clauses),
             "valid_entries": len(self._valid_cache),
             "model_entries": len(self._model_cache),
         }
@@ -267,23 +271,21 @@ class Solver:
             "gate_cache_hit_rate": rate(d["gate_hits"], d["gate_queries"]),
             "gate_clauses_reused": d["gate_clauses_reused"],
             "lemmas_learned": d["lemmas_learned"],
-            "lemmas_shared": d["lemmas_shared"],
         }
 
     # -- DPLL(T) loop -------------------------------------------------------
     def _solve(self, encoding: FormulaEncoding) -> Optional[Model]:
-        if encoding.sat is None:
-            encoding.sat = sat.SatSolver(encoding.cnf)
-        sat_solver = encoding.sat
-        assert isinstance(sat_solver, sat.SatSolver)
-        self._sync_lemmas(encoding)
+        """The DPLL(T) loop for one formula, against the shared database."""
+        sat_solver = self._encoder.sat
+        database = self._encoder.cnf
         assumptions = (encoding.root,)
+        cone = encoding.cone
         for _ in range(self.max_theory_iterations):
             self.stats.sat_solves += 1
             with trace.span("sat.solve") as sat_span:
                 if sat_span:
                     before = (sat.stats.propagations, sat.stats.decisions, sat.stats.conflicts)
-                assignment = sat_solver.solve(assumptions)
+                assignment = sat_solver.solve(assumptions, cone)
                 if sat_span:
                     sat_span.count("propagations", sat.stats.propagations - before[0])
                     sat_span.count("decisions", sat.stats.decisions - before[1])
@@ -312,25 +314,9 @@ class Solver:
                 )
             else:  # defensive: block the whole assignment
                 clause = tuple(-var if positive else var for (var, positive), _ in literals)
-            encoding.cnf.add_clause(clause)
+            database.add_clause(clause)
             self.stats.lemmas_learned += 1
-            encoding.lemma_seen.add(clause)
-            self._lemma_pool.append(clause)
         raise SolverError("exceeded theory iteration budget")
-
-    def _sync_lemmas(self, encoding: FormulaEncoding) -> None:
-        """Replay pooled theory lemmas whose atoms this encoding mentions."""
-        pool = self._lemma_pool
-        atom_vars = encoding.atom_vars
-        while encoding.lemma_pos < len(pool):
-            clause = pool[encoding.lemma_pos]
-            encoding.lemma_pos += 1
-            if clause in encoding.lemma_seen:
-                continue
-            if all(abs(literal) in atom_vars for literal in clause):
-                encoding.cnf.add_clause(clause)
-                encoding.lemma_seen.add(clause)
-                self.stats.lemmas_shared += 1
 
     def _theory_literals(
         self, encoding: FormulaEncoding, assignment: Dict[int, bool]
@@ -381,7 +367,7 @@ def _theory_view() -> Dict[str, float]:
     ``counters`` block of ``BENCH_synthesis.json`` have always used:
     integer-scaling cache traffic, Fourier-Motzkin eliminations and
     tightenings, unsat-core counts/sizes/probes, and the SAT engine's
-    decision/conflict/VSIDS/learned-clause activity.
+    decision/conflict/VSIDS/learned-clause activity and clause ingestion.
     """
     from repro.smt.linexpr import scaling_stats
 
@@ -403,6 +389,7 @@ def _theory_view() -> Dict[str, float]:
         "sat_learned_clauses": sat.stats.learned_clauses,
         "sat_deleted_clauses": sat.stats.deleted_clauses,
         "sat_db_reductions": sat.stats.db_reductions,
+        "sat_ingested_clauses": sat.stats.ingested_clauses,
     }
 
 

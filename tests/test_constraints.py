@@ -22,6 +22,8 @@ from repro.constraints.store import (
 )
 from repro.logic import terms as t
 from repro.semantics.refinements import eval_term
+from repro.smt.encoder import EncodingError
+from repro.smt.solver import Solver, SolverError
 
 
 x = t.int_var("x")
@@ -61,7 +63,42 @@ class TestStore:
         assert not eval_term(eq.formula(), {"x": 2})
 
 
+class _RaisingSolver(Solver):
+    """A solver whose every satisfiability query raises ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def check_sat(self, formula):
+        raise self.error
+
+
 class TestCegis:
+    @pytest.mark.parametrize("error", [SolverError("budget"), EncodingError("non-linear")])
+    def test_undecided_verification_fails_closed(self, error):
+        """A verification query the solver cannot decide rejects the system."""
+        c = fresh_coefficient_var()
+        constraints = [
+            ResourceConstraint(x >= 0, x + c),
+            ResourceConstraint(t.TRUE, c - 1),
+        ]
+        solver = CegisSolver(solver=_RaisingSolver(error))
+        assert solver.solve(constraints) is None
+        assert solver.cache_report()["cegis_undecided"] == 1
+
+    def test_unexpected_solver_errors_propagate(self):
+        c = fresh_coefficient_var()
+        solver = CegisSolver(solver=_RaisingSolver(TypeError("bug")))
+        with pytest.raises(TypeError):
+            solver.solve([ResourceConstraint(x >= 0, x + c)])
+
+    def test_undecided_counter_is_zero_on_decidable_systems(self):
+        c = fresh_coefficient_var()
+        solver = CegisSolver()
+        assert solver.solve([ResourceConstraint(x >= 0, x + c)]) is not None
+        assert solver.cache_report()["cegis_undecided"] == 0
+
     def test_constraints_without_unknowns(self):
         solver = CegisSolver()
         ok = ResourceConstraint(x >= 1, x - 1)

@@ -1,15 +1,15 @@
 """Tests for the shared Tseitin gate cache of the incremental encoder.
 
-The cache must make re-encoding free in the strong sense the ISSUE asks for:
-repeated encodings of the same (or structurally overlapping) formulas
-allocate **zero new auxiliary variables** and construct **zero new clause
-tuples** — replay appends the identical tuple objects — while remaining
-semantically equivalent to a cold encoding (same solver verdicts, same
-per-formula atom maps).
+The cache must make re-encoding free in the strong sense: repeated
+encodings of the same (or structurally overlapping) formulas allocate
+**zero new auxiliary variables** and add **zero clauses** to the encoder's
+one clause database, while remaining semantically equivalent to a cold
+encoding (same solver verdicts, same per-formula atom maps and cone).
 """
 
 from repro.logic import terms as t
 from repro.logic.sorts import INT
+from repro.smt import encoder as encoder_module
 from repro.smt.encoder import IncrementalEncoder
 from repro.smt.solver import Solver
 
@@ -31,22 +31,40 @@ class TestGateCache:
         formula = _formula()
         first = encoder.encode(formula)
         vars_after_first = encoder._counter
-        clauses_first = list(first.cnf.clauses)
+        num_vars = encoder.cnf.num_vars
+        num_clauses = len(encoder.cnf.clauses)
         hits_before = encoder.stats.gate_hits
+        reused_before = encoder.stats.gate_clauses_reused
+        # The cone is every variable of the formula's clauses and atoms.
+        clause_vars = {abs(lit) for clause in encoder.cnf.clauses for lit in clause}
+        assert first.cone == clause_vars | set(first.linear_atoms) | set(first.bool_atoms)
 
         # Forget the per-formula encoding (as an eviction would) but keep the
-        # shared atom table and gate cache, then encode the same formula again.
+        # shared atom table, gate cache and database; encode the formula again.
         encoder.forget_formulas()
         second = encoder.encode(formula)
 
+        assert second is not first
         assert encoder._counter == vars_after_first, "no new auxiliary variables"
+        assert encoder.cnf.num_vars == num_vars
+        assert len(encoder.cnf.clauses) == num_clauses, "no clause is added twice"
         assert second.root == first.root
+        assert second.cone == first.cone
         assert encoder.stats.gate_hits > hits_before
-        assert len(second.cnf.clauses) == len(clauses_first)
-        for fresh, original in zip(second.cnf.clauses, clauses_first):
-            assert fresh is original, "replay must reuse the cached clause tuples"
+        assert encoder.stats.gate_clauses_reused - reused_before == num_clauses
         assert second.linear_atoms == first.linear_atoms
         assert second.bool_atoms == first.bool_atoms
+
+    def test_formula_encodings_are_a_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(encoder_module, "_FORMULA_CACHE_MAX", 3)
+        encoder = IncrementalEncoder()
+        formulas = [_formula(n) for n in range(1, 6)]
+        for formula in formulas:
+            encoder.encode(formula)
+        assert list(encoder._cache) == formulas[-3:]
+        clauses = len(encoder.cnf.clauses)
+        encoder.encode(formulas[0])  # evicted: replayed from the gate cache
+        assert len(encoder.cnf.clauses) == clauses
 
     def test_shared_subformula_reuses_gates(self):
         """A superformula replays the shared subtree's gates and vars."""

@@ -183,3 +183,39 @@ class TestCdclAgainstBruteForce:
             added = cnf.clauses
             model = solver.solve()
             assert (model is not None) == _brute_force_sat(added, 6)
+
+    @given(clauses_strategy, st.lists(literals, min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_cone_restricted_solve(self, clauses, assumptions):
+        """``solve(assumptions, cone)`` answers for the cone's clauses alone.
+
+        Variables 1..6 form the cone.  The database also holds an
+        unsatisfiable clause set whose largest variables (7 and 8) lie outside
+        it, including units and clauses that mention cone variables.
+        """
+        cnf = CNF(num_vars=6)
+        for clause in clauses:
+            cnf.add_clause(clause)
+        cone_clauses = list(cnf.clauses)
+        for a in (7, -7):
+            for b in (8, -8):
+                cnf.add_clause((a, b))
+        cnf.add_clause((7,))
+        cnf.add_clause((-7,))
+        cnf.add_clause((1, 2, -8))
+        cnf.add_clause((-1, -3, 8))
+        assumptions = tuple(dict.fromkeys(assumptions))
+        if any(-lit in assumptions for lit in assumptions):
+            return  # contradictory assumption set; not produced by the solver
+        solver = SatSolver(cnf)
+        cone = frozenset(range(1, 7))
+        for _ in range(2):  # learned clauses persist into the second call
+            model = solver.solve(assumptions, cone)
+            expected = _brute_force_sat(cone_clauses, 6, assumptions)
+            assert (model is not None) == expected
+            if model is not None:
+                assert cone <= set(model), "the assignment covers the cone"
+                assert all(model[abs(lit)] == (lit > 0) for lit in assumptions)
+                for clause in cone_clauses:
+                    assert any(model[abs(lit)] == (lit > 0) for lit in clause)
+        assert solver.solve() is None, "the whole database is unsatisfiable"

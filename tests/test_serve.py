@@ -333,6 +333,19 @@ class TestWarmState:
         finally:
             handle.stop()
 
+    def test_solver_recycles_when_its_clause_database_outgrows_the_bound(self):
+        from repro.core import synthesize
+        from repro.service import warm
+
+        state = warm.WarmState(max_sat_clauses=0)
+        solver, ctx = state.begin_job()
+        synthesize(tiny_goal("recycle"), tiny_config(), solver=solver)
+        assert state.finish_job(ctx)["resets"] == 0
+        assert solver.warm_sizes()["sat_clauses"] > 0
+        recycled, ctx = state.begin_job()
+        assert recycled is not solver and state.resets == 1
+        assert ctx["sizes"]["sat_clauses"] == 0
+
     def test_warm_off_env_disables_reuse_and_preserves_programs(self, monkeypatch):
         warm_handle = serve_in_thread(workers=1)
         try:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.logic import terms as t
 from repro.semantics.refinements import eval_term
 from repro.smt import check_sat, check_valid
+from repro.smt import encoder as encoder_module
 from repro.smt.encoder import EncodingError, IncrementalEncoder, linearize
 from repro.smt.lia import check_integer_feasible, check_rational_feasible
 from repro.smt.linexpr import Constraint, LinExpr
@@ -302,20 +303,28 @@ class TestSolverOracle:
 
     Every formula is solved twice: on a fresh :class:`Solver` and on one warm
     solver that has already answered all earlier formulas of the run, so the
-    warm verdicts go through lemma replay, gate-cache replay and the model and
-    validity LRUs.  Formulas draw on a small shared atom pool to make that
-    replay actually happen.
+    warm verdicts go through the shared clause database (earlier formulas'
+    gates and theory lemmas), gate-cache replay and the model and validity
+    LRUs.  Formulas draw on a small shared atom pool to make that reuse
+    actually happen.
     """
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fresh_and_warm_solvers_agree_with_evaluation(self, seed):
-        rng = random.Random(seed)
-        atoms = [_random_atom(rng) for _ in range(8)]
-        warm = Solver()
+    def _check_stream(self, warm, rng, atoms, count):
+        """Solve ``count`` random formulas fresh and on ``warm``; evaluate both.
+
+        Returns the verdicts seen and the lemmas the fresh solvers learned on
+        the distinct formulas of the stream.
+        """
         verdicts = set()
-        for _ in range(60):
+        fresh_lemmas = 0
+        seen = set()
+        for _ in range(count):
             formula = _random_formula(rng, atoms, depth=4)
-            fresh_model = Solver().check_sat(formula)
+            fresh = Solver()
+            fresh_model = fresh.check_sat(formula)
+            if formula not in seen:
+                seen.add(formula)
+                fresh_lemmas += fresh.stats.lemmas_learned
             warm_model = warm.check_sat(formula)
             unsat = fresh_model is None
             assert (warm_model is None) == unsat, formula
@@ -328,6 +337,63 @@ class TestSolverOracle:
                     env = dict(zip(("x", "y", "z"), point))
                     assert not eval_term(formula, env), (formula, env)
             verdicts.add(unsat)
+        return verdicts, fresh_lemmas
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fresh_and_warm_solvers_agree_with_evaluation(self, seed):
+        rng = random.Random(seed)
+        atoms = [_random_atom(rng) for _ in range(8)]
+        warm = Solver()
+        verdicts, fresh_lemmas = self._check_stream(warm, rng, atoms, 60)
         assert verdicts == {True, False}
-        assert warm.stats.lemmas_shared > 0
+        # Lemmas learned by earlier queries serve later ones: with one lemma
+        # store per formula the warm solver would relearn what every fresh
+        # solver learns.
+        assert 0 < warm.stats.lemmas_learned < fresh_lemmas
+
+    def test_lemma_learned_by_one_query_serves_the_next(self):
+        first = t.conj(x <= 0, x >= 1, y >= 5)
+        second = t.conj(t.disj(z <= 0, z >= 3), x <= 0, x >= 1)
+        fresh = Solver()
+        assert fresh.check_sat(second) is None
+        assert fresh.stats.lemmas_learned > 0
+        warm = Solver()
+        assert warm.check_sat(first) is None
+        learned = warm.stats.lemmas_learned
+        assert warm.check_sat(second) is None
+        assert warm.stats.lemmas_learned == learned, "the first query's lemma refutes it"
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_clauses_outside_the_cone_do_not_change_verdicts(self, seed):
+        """A database holding unrelated unsat formulas and lemmas answers exactly."""
+        u, v = t.int_var("u"), t.int_var("v")
+        warm = Solver()
+        assert warm.check_sat(t.conj(u <= v, v + 1 <= u)) is None
+        assert warm.check_sat(t.conj(t.disj(u <= 0, v <= 0), u >= 1, v >= 1)) is None
+        assert warm.check_sat(t.disj(t.conj(u >= 3, u <= 2), t.conj(u.eq(v), v >= 7))) is not None
+        assert warm.stats.lemmas_learned > 0
+        unrelated = len(warm._encoder.cnf.clauses)
+
+        rng = random.Random(seed)
+        atoms = [_random_atom(rng) for _ in range(8)]
+        verdicts, _ = self._check_stream(warm, rng, atoms, 40)
+        assert verdicts == {True, False}
+        probe = warm._encoder.encode(_random_formula(rng, atoms, depth=4))
+        tops = [max(abs(lit) for lit in clause) for clause in warm._encoder.cnf.clauses]
+        assert any(top not in probe.cone for top in tops[:unrelated])
+
+    def test_full_gate_cache_rebuilds_the_database(self, monkeypatch):
+        """The encoder starts a new database at its bound; verdicts stay exact."""
+        monkeypatch.setattr(encoder_module, "_MODULE_CACHE_MAX", 24)
+        rng = random.Random(5)
+        atoms = [_random_atom(rng) for _ in range(8)]
+        warm = Solver()
+        databases = []
+        verdicts = set()
+        for _ in range(4):
+            verdicts |= self._check_stream(warm, rng, atoms, 15)[0]
+            if not any(warm._encoder.cnf is db for db in databases):
+                databases.append(warm._encoder.cnf)
+        assert verdicts == {True, False}
+        assert len(databases) > 1
 
