@@ -19,12 +19,14 @@ change *how fast* a verdict arrives, never the verdict — so programs are
 byte-identical warm or cold, which ``REPRO_WARM=off`` lets CI prove by A/B.
 
 Lifecycle: the per-process :class:`WarmState` singleton is created on first
-use, serves jobs until its clause database outgrows :data:`MAX_SAT_CLAUSES`,
-then recycles the solver — a bounded-memory guarantee for servers that stay
-up for weeks.  Every job gets a ``warm`` counter block (cache sizes found at
-job start, reuse hits during the job) that the scheduler strips from cached
-records and aggregates into the ``warm_state`` block of scheduler/server
-stats.
+use and serves jobs for the life of the process.  The solver bounds its own
+state: the encoder starts a new clause database (and gate cache) when the old
+one reaches its bound, and the validity/model caches are LRUs, so the verdict
+caches outlive a database rebuild.  Only the atom table grows with the
+distinct theory atoms the worker has seen.  Every job gets a ``warm``
+counter block (cache sizes found at job start, reuse hits during the job,
+database rebuilds so far) that the scheduler strips from cached records and
+aggregates into the ``warm_state`` block of scheduler/server stats.
 """
 
 from __future__ import annotations
@@ -38,12 +40,6 @@ from repro.smt.solver import Solver
 #: execution even when the scheduler requested it (the byte-identity A/B
 #: guard in CI runs the same jobs with REPRO_WARM=off and diffs programs).
 ENV_WARM = "REPRO_WARM"
-
-#: Recycle the warm solver once its clause database (gate clauses plus theory
-#: lemmas) outgrows this.  The encoder rebuilds the database by itself only
-#: when its gate cache fills, which a warm worker reaches late; the
-#: validity/model LRUs are already capped.
-MAX_SAT_CLAUSES = 100_000
 
 
 def env_allows() -> bool:
@@ -59,22 +55,13 @@ def enabled(requested: object) -> bool:
 class WarmState:
     """One worker process's resident solver plus its reuse accounting."""
 
-    def __init__(self, max_sat_clauses: int = MAX_SAT_CLAUSES) -> None:
-        self.max_sat_clauses = max_sat_clauses
+    def __init__(self) -> None:
         self.solver = Solver()
-        #: Jobs served by this process's warm solver(s), monotonically.
+        #: Jobs served by this process's warm solver, monotonically.
         self.jobs_served = 0
-        #: Times the solver was recycled to bound memory.
-        self.resets = 0
-
-    def _maybe_recycle(self) -> None:
-        if self.solver.warm_sizes()["sat_clauses"] > self.max_sat_clauses:
-            self.solver = Solver()
-            self.resets += 1
 
     def begin_job(self) -> Tuple[Solver, Dict[str, int]]:
         """Hand out the warm solver plus the sizes found at job start."""
-        self._maybe_recycle()
         self.jobs_served += 1
         sizes = self.solver.warm_sizes()
         snapshot = self.solver.counters_snapshot()
@@ -85,9 +72,8 @@ class WarmState:
 
         ``reused`` is the proof obligation of the tentpole: true exactly when
         the job *started* with nonempty warm caches, i.e. on job N>1 of a
-        worker (or after state built by earlier encodings survived a recycle
-        boundary).  The hit counters below are this job's traffic against
-        those caches.
+        worker.  The hit counters below are this job's traffic against those
+        caches; ``resets`` counts the worker's database rebuilds so far.
         """
         after = self.solver.counters_snapshot()
         before = ctx["snapshot"]
@@ -105,7 +91,7 @@ class WarmState:
             "gate_clauses_reused": delta["gate_clauses_reused"],
             "valid_hits": delta["valid_cache_hits"],
             "model_hits": delta["model_cache_hits"],
-            "resets": self.resets,
+            "resets": after["database_resets"],
         }
 
 

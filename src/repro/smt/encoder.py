@@ -69,6 +69,8 @@ class EncoderStats:
     gate_hits: int = 0
     #: gate clauses a cache hit found in the database instead of re-adding.
     gate_clauses_reused: int = 0
+    #: times the clause database was dropped at its bound and started afresh.
+    database_resets: int = 0
 
     def gate_hit_rate(self) -> float:
         return self.gate_hits / self.gate_queries if self.gate_queries else 0.0
@@ -84,6 +86,13 @@ _NNF_CACHE: Dict[Tuple[Term, bool], Term] = {}
 #: encoder's gate cache uses the same bound, and rebuilds its clause
 #: database when it clears.
 _MODULE_CACHE_MAX = 1 << 16
+#: Bound on an encoder's clause database.  Propagation walks past every
+#: clause outside a query's cone that shares a watched literal with it, so
+#: per-solve cost grows with the database; at the bound the encoder starts a
+#: new one.  A synthesis of a fast committed goal stays below it (the largest,
+#: ``asym_compare``, peaks near 39,000 clauses); long CEGIS runs such as
+#: ``t1_insert_sorted`` and long-lived warm workers reach it.
+_DATABASE_MAX = 1 << 16
 #: Bound on the per-formula encodings one encoder keeps (an LRU, sized like
 #: the solver's validity cache).
 _FORMULA_CACHE_MAX = 8192
@@ -197,10 +206,12 @@ class IncrementalEncoder:
     structure — is *replayed*: replay collects its atoms and cone and adds no
     variable and no clause.
 
-    Memory stays bounded: the per-formula encodings are an LRU of
-    :data:`_FORMULA_CACHE_MAX` entries, and when the gate cache reaches
-    :data:`_MODULE_CACHE_MAX` nodes it is cleared together with the
-    encodings, the clause database and the SAT solver.
+    The database stays bounded, and with it memory and per-solve cost: the
+    per-formula encodings are an LRU of :data:`_FORMULA_CACHE_MAX` entries,
+    and when the database reaches :data:`_DATABASE_MAX` clauses or the gate
+    cache :data:`_MODULE_CACHE_MAX` nodes, the gate cache, the encodings, the
+    clause database and the SAT solver are all started afresh.  The atom
+    table is kept.
     """
 
     def __init__(self) -> None:
@@ -238,14 +249,18 @@ class IncrementalEncoder:
             self.stats.encode_cache_hits += 1
             return cached
         with trace.span("smt.encode") as sp:
-            # Bound the gate cache *between* formula builds only: mid-build
-            # eviction could orphan a parent entry whose children are gone.
-            # The encodings and theory lemmas speak about the dropped gates'
-            # clauses, so the database goes with them.
-            if len(self._gate_cache) >= _MODULE_CACHE_MAX:
+            # Bound the database and gate cache *between* formula builds only:
+            # mid-build eviction could orphan a parent entry whose children
+            # are gone.  The gates, encodings and theory lemmas all speak
+            # about the database's clauses, so they go together.
+            if (
+                len(self.cnf.clauses) >= _DATABASE_MAX
+                or len(self._gate_cache) >= _MODULE_CACHE_MAX
+            ):
                 self._gate_cache.clear()
                 cache.clear()
                 self._new_database()
+                self.stats.database_resets += 1
             clauses_before = len(self.cnf.clauses)
             preprocessed = _preprocess(formula)
             if isinstance(preprocessed, t.BoolConst):

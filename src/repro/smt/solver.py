@@ -216,6 +216,7 @@ class Solver:
             "gate_queries": enc.gate_queries,
             "gate_hits": enc.gate_hits,
             "gate_clauses_reused": enc.gate_clauses_reused,
+            "database_resets": enc.database_resets,
         }
 
     def warm_sizes(self) -> Dict[str, int]:

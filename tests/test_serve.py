@@ -333,18 +333,24 @@ class TestWarmState:
         finally:
             handle.stop()
 
-    def test_solver_recycles_when_its_clause_database_outgrows_the_bound(self):
+    def test_database_rebuilds_keep_the_warm_solver_and_its_verdicts(self, monkeypatch):
         from repro.core import synthesize
         from repro.service import warm
+        from repro.smt import encoder
 
-        state = warm.WarmState(max_sat_clauses=0)
-        solver, ctx = state.begin_job()
-        synthesize(tiny_goal("recycle"), tiny_config(), solver=solver)
-        assert state.finish_job(ctx)["resets"] == 0
-        assert solver.warm_sizes()["sat_clauses"] > 0
-        recycled, ctx = state.begin_job()
-        assert recycled is not solver and state.resets == 1
-        assert ctx["sizes"]["sat_clauses"] == 0
+        monkeypatch.setattr(encoder, "_DATABASE_MAX", 1)
+        state = warm.WarmState()
+        blocks, programs = [], []
+        for _ in range(2):
+            solver, ctx = state.begin_job()
+            result = synthesize(tiny_goal("rebuild"), tiny_config(), solver=solver)
+            programs.append(str(result.program))
+            blocks.append(state.finish_job(ctx))
+        assert solver is state.solver
+        assert 0 < blocks[0]["resets"] <= blocks[1]["resets"]
+        assert blocks[1]["valid_hits"] > 0
+        cold = synthesize(tiny_goal("rebuild"), tiny_config())
+        assert programs == [str(cold.program)] * 2
 
     def test_warm_off_env_disables_reuse_and_preserves_programs(self, monkeypatch):
         warm_handle = serve_in_thread(workers=1)

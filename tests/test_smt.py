@@ -382,9 +382,10 @@ class TestSolverOracle:
         tops = [max(abs(lit) for lit in clause) for clause in warm._encoder.cnf.clauses]
         assert any(top not in probe.cone for top in tops[:unrelated])
 
-    def test_full_gate_cache_rebuilds_the_database(self, monkeypatch):
-        """The encoder starts a new database at its bound; verdicts stay exact."""
-        monkeypatch.setattr(encoder_module, "_MODULE_CACHE_MAX", 24)
+    @pytest.mark.parametrize("bound", ["_MODULE_CACHE_MAX", "_DATABASE_MAX"])
+    def test_encoder_rebuilds_the_database_at_its_bounds(self, monkeypatch, bound):
+        """A full gate cache or database starts a new one; verdicts stay exact."""
+        monkeypatch.setattr(encoder_module, bound, 24)
         rng = random.Random(5)
         atoms = [_random_atom(rng) for _ in range(8)]
         warm = Solver()
@@ -396,4 +397,5 @@ class TestSolverOracle:
                 databases.append(warm._encoder.cnf)
         assert verdicts == {True, False}
         assert len(databases) > 1
+        assert warm._encoder.stats.database_resets >= len(databases) - 1
 
