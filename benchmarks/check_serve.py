@@ -83,7 +83,7 @@ def main() -> int:
     parser.add_argument("--shards", type=int, default=4)
     args = parser.parse_args()
 
-    from repro.service.cache import ShardedResultCache
+    from repro.service.cache import ResultCache
     from repro.service.serve import serve_in_thread
     from repro.service.specs import load_spec
 
@@ -92,7 +92,7 @@ def main() -> int:
     # --- warm server: cold pass, then warm (all-hits) pass -----------------
     handle = serve_in_thread(
         workers=args.workers,
-        cache=ShardedResultCache(os.path.join(args.cache, "warm"), shards=args.shards),
+        cache=ResultCache(os.path.join(args.cache, "warm"), shards=args.shards),
     )
     try:
         cold = run_pass(handle, spec, "cold pass")
@@ -134,7 +134,7 @@ def main() -> int:
     try:
         cold_handle = serve_in_thread(
             workers=args.workers,
-            cache=ShardedResultCache(os.path.join(args.cache, "ab"), shards=args.shards),
+            cache=ResultCache(os.path.join(args.cache, "ab"), shards=args.shards),
         )
         try:
             ab = run_pass(cold_handle, spec, "REPRO_WARM=off pass")

@@ -1,6 +1,5 @@
-"""Resource analysis of complete programs: AARA bound inference and empirical fitting."""
+"""Resource analysis of complete programs: empirical cost measurement and bound fitting."""
 
-from repro.analysis.aara import LinearBound, infer_linear_bound
 from repro.analysis.empirical import (
     BOUND_SHAPES,
     CostSample,

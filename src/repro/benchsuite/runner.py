@@ -123,17 +123,18 @@ def run_table(
     """Regenerate a table by scheduling every (benchmark, mode) job.
 
     ``workers`` defaults to the ``REPRO_WORKERS`` environment variable (1 if
-    unset); ``cache`` defaults to a :class:`~repro.service.cache.ResultCache`
-    at ``REPRO_CACHE`` when that variable is set.  The returned rows are in
-    benchmark-definition order regardless of parallel completion order.
+    unset); ``cache`` defaults to the result cache at ``REPRO_CACHE`` (opened
+    with its pinned shard count) when that variable is set.  The returned
+    rows are in benchmark-definition order regardless of parallel completion
+    order.
     """
-    from repro.service.cache import ResultCache
+    from repro.service.cache import open_cache
     from repro.service.scheduler import BatchScheduler, job_for_goal
 
     if workers is None:
         workers = int(os.environ.get("REPRO_WORKERS", "1"))
     if cache is None and os.environ.get("REPRO_CACHE"):
-        cache = ResultCache(os.path.expanduser(os.environ["REPRO_CACHE"]))
+        cache = open_cache(os.path.expanduser(os.environ["REPRO_CACHE"]))
 
     benchmarks = selected_benchmarks(table)
     jobs, keys = [], []

@@ -1,14 +1,6 @@
-"""Constraint solving: resource constraints, incremental CEGIS, Horn clauses."""
+"""Constraint solving: resource constraints and incremental CEGIS."""
 
 from repro.constraints.cegis import CegisSolver, CegisStats, Example
-from repro.constraints.horn import (
-    HornClause,
-    HornSolverError,
-    Unknown,
-    UnknownApp,
-    default_qualifiers,
-    solve_horn,
-)
 from repro.constraints.store import (
     COEFF_PREFIX,
     ConstraintStore,

@@ -216,14 +216,6 @@ APPEND = append_component()
 APPEND_SND = append_component("append2", traverse_first=False)
 
 
-def fst_component() -> Component:
-    return Component(
-        "fst",
-        TypeSchema(("a",), arrow(("p", list_type(tvar_type("a"))), tvar_type("a"))),
-        lambda p: p[0],
-    )
-
-
 #: The standard library, indexed by name, from which benchmark definitions
 #: pick their component sets.
 STANDARD_COMPONENTS: Dict[str, Component] = {

@@ -60,12 +60,3 @@ DATA = Sort("data")
 def uninterpreted(name: str) -> Sort:
     """The uninterpreted sort ``delta_name`` of a type variable."""
     return Sort("uninterpreted", name)
-
-
-def is_element_sort(sort: Sort) -> bool:
-    """Whether values of ``sort`` can be elements of a ``SET``.
-
-    Elements of sets are the element values of lists; in the surface language
-    these are integers, Booleans (encoded as 0/1) or type-variable values.
-    """
-    return sort.kind in ("int", "bool", "uninterpreted")

@@ -744,11 +744,6 @@ def data_var(name: str) -> Var:
     return Var(name, DATA)
 
 
-def set_var(name: str) -> Var:
-    """A set-sorted refinement variable."""
-    return Var(name, SET)
-
-
 # -- measure helpers used throughout the code base ---------------------------
 
 
@@ -926,8 +921,3 @@ def rename(term: Term, mapping: Mapping[str, str]) -> Term:
 def apps_in(term: Term) -> frozenset[App]:
     """All measure/uninterpreted applications occurring in ``term``."""
     return frozenset(t for t in term.walk() if isinstance(t, App))
-
-
-def contains_var(term: Term, name: str) -> bool:
-    """Whether ``name`` occurs free in ``term``."""
-    return name in free_vars(term)

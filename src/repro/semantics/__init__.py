@@ -22,9 +22,7 @@ from repro.semantics.values import (
     LEAF,
     VTree,
     Value,
-    list_to_value,
     tree_from_sorted,
-    value_to_list,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

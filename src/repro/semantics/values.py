@@ -81,16 +81,6 @@ class Builtin:
         return self.fn(*args)
 
 
-def list_to_value(items) -> tuple:
-    """Convert a Python iterable into an Re2 list value."""
-    return tuple(items)
-
-
-def value_to_list(value: tuple) -> list:
-    """Convert an Re2 list value into a Python list."""
-    return list(value)
-
-
 def tree_from_sorted(items) -> VTree:
     """Build a balanced binary search tree from sorted items (test helper)."""
     items = list(items)

@@ -25,7 +25,8 @@ an HTTP front-end (``POST /jobs`` streaming NDJSON progress, ``GET /stats``,
 ``POST /shutdown``) — plus newline-delimited JSON over stdin with ``--stdio``
 — dispatching onto a resident worker pool whose workers keep warm solver
 state between jobs (disable with ``--cold`` or ``REPRO_WARM=off``).
-``--shards`` opens the result cache sharded by fingerprint prefix.
+``--shards N`` creates the result cache with N shards by fingerprint prefix
+(default 1); an existing cache keeps the count pinned at its creation.
 """
 
 from __future__ import annotations
@@ -246,6 +247,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 {
                     "entries": entries,
                     "quarantined_entries": len(quarantined),
+                    "shards": cache.shards,
                     "telemetry": data,
                 },
                 indent=2,
@@ -253,9 +255,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    print(f"{cache.root}: {entries} entries")
+    print(f"{cache.root}: {entries} entries in {cache.shards} shard(s)")
     if quarantined:
-        print(f"{len(quarantined)} quarantined entries under {cache.root}/quarantine")
+        where = ", ".join(cache.quarantine_dirs())
+        print(f"{len(quarantined)} quarantined entries under {where}")
     if data is None:
         print("no telemetry recorded yet (run a batch against this cache first)")
         return 0
@@ -340,7 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--shards",
         type=int,
         default=None,
-        help="open --cache sharded by fingerprint prefix (N shards)",
+        help="shards for a new --cache (default 1; an existing cache's count is pinned)",
     )
     run.add_argument(
         "--warm",
@@ -356,7 +359,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--cache", help="persistent result-cache directory")
     serve.add_argument("--cache-max", type=int, default=None, help="cache entry limit (LRU)")
     serve.add_argument(
-        "--shards", type=int, default=None, help="shard the cache by fingerprint prefix"
+        "--shards",
+        type=int,
+        default=None,
+        help="shards for a new --cache (default 1; an existing cache's count is pinned)",
     )
     serve.add_argument(
         "--retries", type=int, default=DEFAULT_RETRIES, help="crash-retry budget per job"

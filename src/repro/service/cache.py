@@ -5,10 +5,19 @@ Synthesis results are stored on disk keyed by the job fingerprint of
 "millions of users" path of the ROADMAP — skip synthesis entirely: a warm
 rerun of a spec file performs zero synthesizer invocations.
 
-Layout: one JSON file per entry under ``<root>/objects/<fp[:2]>/<fp>.json``
+Layout: one JSON file per entry under ``objects/<fp[:2]>/<fp>.json``
 (two-level fan-out keeps directories small at scale), plus a ``meta.json``
-recording the cache format version.  Entries are plain dictionaries produced
-by :meth:`repro.core.goals.SynthesisResult.to_record`: the synthesized program
+recording the cache format version and the shard count.  A one-shard cache
+(the default) keeps ``objects/`` and ``quarantine/`` directly under the root;
+with N > 1 shards, shard k is a full store under ``<root>/shards/<k:02d>/``
+and :func:`shard_index` routes each fingerprint to its shard.  The count is
+pinned at creation: a ``meta.json`` without a ``shards`` key means one shard,
+and reopening with a different count is refused.  Checksums, quarantine,
+LRU eviction and traffic counters act per shard, so one hot (or corrupt)
+prefix range cannot evict the whole keyspace.
+
+Entries are plain dictionaries produced by
+:meth:`repro.core.goals.SynthesisResult.to_record`: the synthesized program
 (JSON AST + rendered text), wall-clock seconds, candidate counters and the
 per-run solver statistics.  Writes go through a temp file and ``os.replace``,
 so concurrent writers (multiple scheduler processes sharing one cache
@@ -17,8 +26,8 @@ directory) can race without ever exposing a torn entry.
 **Integrity:** every entry carries a ``checksum`` field — the SHA-256 of its
 canonical JSON — written at store time and verified on every load.  An entry
 that fails verification (torn by a non-atomic writer, bit-rotted, truncated,
-undecodable) is *quarantined*: moved to ``<root>/quarantine/`` for post-mortem
-inspection instead of silently masquerading as a miss, counted into
+undecodable) is *quarantined*: moved to its shard's ``quarantine/`` for
+post-mortem inspection instead of silently masquerading as a miss, counted into
 ``cache.quarantined``, and the lookup proceeds as a miss so the result is
 simply recomputed.  Disk errors on the maintenance paths (LRU touch, eviction
 scan/unlink) are likewise counted into ``cache.io_errors`` rather than
@@ -45,18 +54,13 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import metrics, trace
 from repro.service import faults
 
 CACHE_FORMAT_VERSION = 2  # v2: per-entry checksums, quarantine directory
-
-#: Default shard count for :class:`ShardedResultCache` (a small power of two:
-#: enough to spread directory traffic and let shards move to separate hosts,
-#: few enough that per-shard LRU caps stay meaningful on small caches).
-DEFAULT_SHARDS = 4
 
 
 def shard_index(fingerprint: str, shards: int) -> int:
@@ -102,54 +106,6 @@ class CacheStats:
         }
 
 
-def _fold_run_telemetry(
-    root: str,
-    cache_stats: Dict[str, float],
-    recorded: Dict[str, float],
-    scheduler: Dict[str, object],
-    extra: Optional[Dict[str, object]] = None,
-) -> str:
-    """Shared telemetry fold for both cache flavours (see the method docs).
-
-    ``recorded`` holds the cache traffic already folded by earlier runs of
-    this instance (cumulative counters must not double count); it is updated
-    in place.  ``extra`` keys are merged into ``last_run`` (per-shard stats).
-    """
-    path = os.path.join(root, "telemetry.json")
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except (FileNotFoundError, json.JSONDecodeError):
-        data = {}
-    data["runs"] = int(data.get("runs", 0)) + 1
-    totals = data.setdefault("totals", {})
-    traffic = {
-        key: value - recorded.get(key, 0)
-        for key, value in cache_stats.items()
-        if key != "cache_hit_rate"
-    }
-    recorded.clear()
-    recorded.update(
-        {key: value for key, value in cache_stats.items() if key != "cache_hit_rate"}
-    )
-    sched = dict(scheduler)
-    sched.pop("cache_hits", None)  # already counted by the cache's own traffic
-    for source in (traffic, sched):
-        for key, value in source.items():
-            if key == "workers" or not isinstance(value, (int, float)):
-                continue
-            totals[key] = round(totals.get(key, 0) + value, 4)
-    looked_up = totals.get("cache_hits", 0) + totals.get("cache_misses", 0)
-    totals["cache_hit_rate"] = (
-        round(totals.get("cache_hits", 0) / looked_up, 4) if looked_up else 0.0
-    )
-    data["last_run"] = {"scheduler": dict(scheduler), "cache": dict(cache_stats)}
-    if extra:
-        data["last_run"].update(extra)
-    ResultCache._atomic_write(path, data)
-    return path
-
-
 def record_checksum(entry: Dict[str, object]) -> str:
     """SHA-256 over the canonical JSON of ``entry`` (its own checksum excluded)."""
     payload = {key: value for key, value in entry.items() if key != "checksum"}
@@ -157,19 +113,37 @@ def record_checksum(entry: Dict[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """Disk-backed map from job fingerprints to synthesis result records."""
+def _atomic_write(path: str, payload: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(payload, handle, sort_keys=True)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
-    def __init__(self, root: str, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.root = os.path.abspath(root)
+
+def _read_object(path: str) -> Optional[dict]:
+    """The JSON object in ``path``, or ``None`` if it is missing or not one."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError):  # missing, unreadable, not UTF-8 or not JSON
+        return None
+    return data if isinstance(data, dict) else None
+
+
+class _Shard:
+    """One shard's store: entries, quarantine, LRU cap and traffic counters."""
+
+    def __init__(self, root: str, max_entries: Optional[int]) -> None:
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: Traffic already folded into telemetry.json (see record_run_telemetry).
-        self._recorded: Dict[str, float] = {}
-        self._objects = os.path.join(self.root, "objects")
-        self._quarantine_dir = os.path.join(self.root, "quarantine")
+        self._objects = os.path.join(root, "objects")
+        self._quarantine_dir = os.path.join(root, "quarantine")
         #: Approximate entry count, seeded lazily from one directory scan and
         #: maintained incrementally so store() does not walk the tree each
         #: time (other processes sharing the directory drift it slightly;
@@ -179,28 +153,9 @@ class ResultCache:
         #: so ``:once`` rules fire on the first lookup/store only.
         self._fault_seen: Dict[Tuple[str, str], int] = {}
         os.makedirs(self._objects, exist_ok=True)
-        self._write_meta()
-
-    def _write_meta(self) -> None:
-        meta_path = os.path.join(self.root, "meta.json")
-        if not os.path.exists(meta_path):
-            self._atomic_write(meta_path, {"format": CACHE_FORMAT_VERSION})
 
     def _entry_path(self, fingerprint: str) -> str:
         return os.path.join(self._objects, fingerprint[:2], f"{fingerprint}.json")
-
-    @staticmethod
-    def _atomic_write(path: str, payload: dict) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
 
     def _fault_attempt(self, point: str, fingerprint: str) -> int:
         """Occurrence index of this (point, fingerprint) site, then advance it."""
@@ -312,7 +267,7 @@ class ResultCache:
         ):
             self._torn_write(path, entry)
         else:
-            self._atomic_write(path, entry)
+            _atomic_write(path, entry)
         self.stats.stores += 1
         metrics.REGISTRY.counter("service.cache.stores").inc()
         trace.event("cache.store", fingerprint=fingerprint)
@@ -331,7 +286,7 @@ class ResultCache:
             return False
         entry.update(fields)
         entry["checksum"] = record_checksum(entry)
-        self._atomic_write(path, entry)
+        _atomic_write(path, entry)
         return True
 
     # ------------------------------------------------------------------
@@ -355,29 +310,6 @@ class ResultCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w") as handle:
             handle.write(payload[: len(payload) // 2])
-
-    # ------------------------------------------------------------------
-    # Telemetry
-    # ------------------------------------------------------------------
-    def record_run_telemetry(self, scheduler: Dict[str, object]) -> str:
-        """Fold one scheduler run into ``<root>/telemetry.json``.
-
-        The file accumulates numeric totals across every run that used this
-        cache directory (hit/miss/store/eviction traffic plus the scheduler's
-        job and timing sums) and keeps the full stats of the most recent run,
-        which is what ``python -m repro.service stats`` reports.  Written
-        atomically, so concurrent schedulers can race without tearing the
-        file (a lost update only undercounts totals).
-        """
-        return _fold_run_telemetry(self.root, self.stats.as_dict(), self._recorded, scheduler)
-
-    def telemetry(self) -> Optional[dict]:
-        """The accumulated telemetry blob, or ``None`` if no run recorded one."""
-        try:
-            with open(os.path.join(self.root, "telemetry.json")) as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -448,185 +380,156 @@ class ResultCache:
         self._count = 0
         return removed
 
-    def stats_dict(self) -> Dict[str, object]:
-        """Uniform stats payload (the server's ``/stats`` cache block)."""
-        return {
-            "root": self.root,
-            "entries": len(self),
-            "shards": None,
-            "quarantined_entries": len(self.quarantined_entries()),
-            **self.stats.as_dict(),
-        }
 
+class ResultCache:
+    """Disk-backed map from job fingerprints to synthesis result records.
 
-class ShardedResultCache:
-    """A :class:`ResultCache` sharded by fingerprint prefix.
-
-    Layout: ``<root>/shards/<k>/`` holds one full :class:`ResultCache` per
-    shard (own ``objects/``, ``quarantine/``, LRU cap); ``<root>/meta.json``
-    persists the shard count so every later open routes identically.  The
-    shard for a fingerprint is :func:`shard_index` — a pure function of the
-    fingerprint prefix, which is what lets the shards eventually live on
-    separate hosts with no routing table.
-
-    A root that already holds an *unsharded* v2 cache (``<root>/objects/``)
-    stays readable: lookups fall through to the legacy store and promote hits
-    into the owning shard (removing the legacy copy), so a cache directory
-    can be upgraded in place with zero recomputation.
-
-    LRU caps and quarantine are per-shard — ``max_entries`` is split evenly,
-    and each shard evicts and quarantines independently, so one hot (or
-    corrupt) prefix range cannot evict the whole keyspace.
+    ``shards`` defaults to the count pinned in ``<root>/meta.json``, or 1 for
+    a new directory; asking for a different count than the pinned one raises
+    ``ValueError``.  ``max_entries`` is split evenly over the shards.
     """
 
     def __init__(
-        self, root: str, shards: Optional[int] = None, max_entries: Optional[int] = None
+        self, root: str, max_entries: Optional[int] = None, shards: Optional[int] = None
     ) -> None:
+        if max_entries is not None and max_entries < 1:
+            raise ValueError("max_entries must be positive")
         self.root = os.path.abspath(root)
-        os.makedirs(self.root, exist_ok=True)
         meta_path = os.path.join(self.root, "meta.json")
-        persisted: Optional[int] = None
-        try:
-            with open(meta_path) as handle:
-                persisted = json.load(handle).get("shards")
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            persisted = None
-        if persisted:
-            if shards is not None and shards != persisted:
+        meta = _read_object(meta_path)
+        if meta is not None:
+            pinned = int(meta.get("shards", 1))
+            if shards is not None and shards != pinned:
                 raise ValueError(
-                    f"cache at {self.root} is sharded {persisted} ways; "
+                    f"cache at {self.root} is sharded {pinned} ways; "
                     f"reopening with shards={shards} would misroute fingerprints"
                 )
-            shards = int(persisted)
-        if shards is None:
-            shards = DEFAULT_SHARDS
+            shards = pinned
+        elif shards is None:
+            shards = 1
         if shards < 1:
             raise ValueError("shards must be positive")
         self.shards = shards
         self.max_entries = max_entries
         per_shard = None if max_entries is None else max(max_entries // shards, 1)
-        self._shards = [
-            ResultCache(os.path.join(self.root, "shards", f"{index:02d}"), per_shard)
-            for index in range(shards)
-        ]
-        # Read-through to a pre-sharding unsharded cache at the same root.
-        self._legacy: Optional[ResultCache] = None
-        if os.path.isdir(os.path.join(self.root, "objects")):
-            self._legacy = ResultCache(self.root)
-        self._recorded: Dict[str, float] = {}
-        ResultCache._atomic_write(
-            meta_path, {"format": CACHE_FORMAT_VERSION, "shards": self.shards}
+        roots = (
+            [self.root]
+            if shards == 1
+            else [os.path.join(self.root, "shards", f"{index:02d}") for index in range(shards)]
         )
+        self._shards = [_Shard(shard_root, per_shard) for shard_root in roots]
+        if meta is None:
+            _atomic_write(meta_path, {"format": CACHE_FORMAT_VERSION, "shards": shards})
+        #: Traffic already folded into telemetry.json (see record_run_telemetry).
+        self._recorded: Dict[str, float] = {}
 
     def shard_for(self, fingerprint: str) -> int:
         return shard_index(fingerprint, self.shards)
 
-    def _shard(self, fingerprint: str) -> ResultCache:
+    def _shard(self, fingerprint: str) -> _Shard:
         return self._shards[self.shard_for(fingerprint)]
 
-    def _caches(self) -> List[ResultCache]:
-        return self._shards + ([self._legacy] if self._legacy is not None else [])
+    def _entry_path(self, fingerprint: str) -> str:
+        return self._shard(fingerprint)._entry_path(fingerprint)
 
     @property
     def stats(self) -> CacheStats:
-        """Traffic merged across shards (and the legacy store, if any)."""
-        merged = CacheStats()
-        for sub in self._caches():
-            merged.hits += sub.stats.hits
-            merged.misses += sub.stats.misses
-            merged.stores += sub.stats.stores
-            merged.evictions += sub.stats.evictions
-            merged.quarantined += sub.stats.quarantined
-            merged.io_errors += sub.stats.io_errors
-        # A legacy promotion is one logical lookup: drop the shard-side miss
-        # that preceded the legacy hit so the merged hit rate stays honest.
-        if self._legacy is not None:
-            merged.misses -= min(self._legacy.stats.hits, merged.misses)
-        return merged
+        """Traffic summed over the shards."""
+        return CacheStats(*map(sum, zip(*(astuple(shard.stats) for shard in self._shards))))
 
     def lookup(self, fingerprint: str) -> Optional[dict]:
-        entry = self._shard(fingerprint).lookup(fingerprint)
-        if entry is not None:
-            return entry
-        if self._legacy is not None:
-            entry = self._legacy.lookup(fingerprint)
-            if entry is not None:
-                # Promote into the owning shard and retire the legacy copy so
-                # the migration converges to a purely sharded layout.
-                self._shard(fingerprint).store(fingerprint, entry)
-                try:
-                    os.unlink(self._legacy._entry_path(fingerprint))
-                except OSError:
-                    pass
-                return entry
-        return None
+        """The cached record for ``fingerprint``, refreshing its LRU stamp."""
+        return self._shard(fingerprint).lookup(fingerprint)
 
     def store(self, fingerprint: str, record: dict) -> None:
+        """Persist a result record under ``fingerprint`` (and maybe evict)."""
         self._shard(fingerprint).store(fingerprint, record)
 
     def update(self, fingerprint: str, **fields: object) -> bool:
-        if self._shard(fingerprint).update(fingerprint, **fields):
-            return True
-        return self._legacy.update(fingerprint, **fields) if self._legacy else False
+        """Merge extra fields (e.g. measured bounds) into an existing entry."""
+        return self._shard(fingerprint).update(fingerprint, **fields)
 
     def quarantined_entries(self) -> List[str]:
-        names: List[str] = []
-        for sub in self._caches():
-            names.extend(sub.quarantined_entries())
-        return sorted(names)
+        """Basenames of quarantined entries (empty if none were ever caught)."""
+        return sorted(name for shard in self._shards for name in shard.quarantined_entries())
 
-    def record_run_telemetry(self, scheduler: Dict[str, object]) -> str:
-        return _fold_run_telemetry(
-            self.root,
-            self.stats.as_dict(),
-            self._recorded,
-            scheduler,
-            extra={"shards": self.shards},
-        )
-
-    def telemetry(self) -> Optional[dict]:
-        try:
-            with open(os.path.join(self.root, "telemetry.json")) as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
+    def quarantine_dirs(self) -> List[str]:
+        """The quarantine directories that hold at least one entry."""
+        return [shard._quarantine_dir for shard in self._shards if shard.quarantined_entries()]
 
     def __len__(self) -> int:
-        return sum(len(sub) for sub in self._caches())
+        return sum(len(shard) for shard in self._shards)
 
     def fingerprints(self) -> Iterator[str]:
-        for sub in self._caches():
-            yield from sub.fingerprints()
+        """All fingerprints currently stored, oldest first within each shard."""
+        for shard in self._shards:
+            yield from shard.fingerprints()
 
     def clear(self) -> int:
-        return sum(sub.clear() for sub in self._caches())
+        """Delete every entry; returns how many were removed."""
+        return sum(shard.clear() for shard in self._shards)
+
+    # ------------------------------------------------------------------
+    # Telemetry
+    # ------------------------------------------------------------------
+    def record_run_telemetry(self, scheduler: Dict[str, object]) -> str:
+        """Fold one scheduler run into ``<root>/telemetry.json``.
+
+        The file accumulates numeric totals across every run that used this
+        cache directory (hit/miss/store/eviction traffic plus the scheduler's
+        job and timing sums) and keeps the full stats of the most recent run,
+        which is what ``python -m repro.service stats`` reports.  Written
+        atomically, so concurrent schedulers can race without tearing the
+        file (a lost update only undercounts totals).
+        """
+        path = os.path.join(self.root, "telemetry.json")
+        data = _read_object(path) or {}
+        data["runs"] = int(data.get("runs", 0)) + 1
+        totals = data.setdefault("totals", {})
+        cache_stats = self.stats.as_dict()
+        counters = {key: value for key, value in cache_stats.items() if key != "cache_hit_rate"}
+        # Fold only the traffic since this instance's previous fold.
+        traffic = {key: value - self._recorded.get(key, 0) for key, value in counters.items()}
+        self._recorded = counters
+        sched = dict(scheduler)
+        sched.pop("cache_hits", None)  # already counted by the cache's own traffic
+        for source in (traffic, sched):
+            for key, value in source.items():
+                if key == "workers" or not isinstance(value, (int, float)):
+                    continue
+                totals[key] = round(totals.get(key, 0) + value, 4)
+        looked_up = totals.get("cache_hits", 0) + totals.get("cache_misses", 0)
+        totals["cache_hit_rate"] = (
+            round(totals.get("cache_hits", 0) / looked_up, 4) if looked_up else 0.0
+        )
+        data["last_run"] = {
+            "scheduler": dict(scheduler),
+            "cache": cache_stats,
+            "shards": self.shards,
+        }
+        _atomic_write(path, data)
+        return path
+
+    def telemetry(self) -> Optional[dict]:
+        """The accumulated telemetry blob, or ``None`` if no run recorded one."""
+        return _read_object(os.path.join(self.root, "telemetry.json"))
 
     def stats_dict(self) -> Dict[str, object]:
         """Per-shard telemetry plus merged totals (the ``/stats`` payload)."""
-        per_shard = []
-        for index, sub in enumerate(self._shards):
-            per_shard.append(
-                {
-                    "shard": index,
-                    "entries": len(sub),
-                    "quarantined_entries": len(sub.quarantined_entries()),
-                    **sub.stats.as_dict(),
-                }
-            )
-        if self._legacy is not None:
-            per_shard.append(
-                {
-                    "shard": "legacy",
-                    "entries": len(self._legacy),
-                    "quarantined_entries": len(self._legacy.quarantined_entries()),
-                    **self._legacy.stats.as_dict(),
-                }
-            )
+        per_shard = [
+            {
+                "shard": index,
+                "entries": len(shard),
+                "quarantined_entries": len(shard.quarantined_entries()),
+                **shard.stats.as_dict(),
+            }
+            for index, shard in enumerate(self._shards)
+        ]
         return {
             "root": self.root,
-            "entries": len(self),
+            "entries": sum(row["entries"] for row in per_shard),
             "shards": self.shards,
-            "quarantined_entries": len(self.quarantined_entries()),
+            "quarantined_entries": sum(row["quarantined_entries"] for row in per_shard),
             **self.stats.as_dict(),
             "per_shard": per_shard,
         }
@@ -634,21 +537,6 @@ class ShardedResultCache:
 
 def open_cache(
     root: str, max_entries: Optional[int] = None, shards: Optional[int] = None
-):
-    """Open the right cache flavour for ``root``.
-
-    A root whose ``meta.json`` records a shard count always opens sharded
-    (with the persisted count); otherwise ``shards`` > 1 opens (and persists)
-    a new sharded layout, and anything else opens the plain cache.
-    """
-    meta_path = os.path.join(root, "meta.json")
-    try:
-        with open(meta_path) as handle:
-            persisted = json.load(handle).get("shards")
-    except (FileNotFoundError, json.JSONDecodeError, OSError):
-        persisted = None
-    if persisted:
-        return ShardedResultCache(root, shards=shards, max_entries=max_entries)
-    if shards is not None and shards > 1:
-        return ShardedResultCache(root, shards=shards, max_entries=max_entries)
-    return ResultCache(root, max_entries=max_entries)
+) -> ResultCache:
+    """Open (or create) the result cache at ``root``; see :class:`ResultCache`."""
+    return ResultCache(root, max_entries=max_entries, shards=shards)

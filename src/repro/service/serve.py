@@ -316,7 +316,7 @@ class SynthesisServer:
             },
             "scheduler": scheduler,
         }
-        if self.cache is not None and hasattr(self.cache, "stats_dict"):
+        if self.cache is not None:
             payload["cache"] = self.cache.stats_dict()
         return payload
 

@@ -214,13 +214,6 @@ def check_rational_feasible(constraints: Sequence[Constraint], budget: int = 400
     return sample is not None
 
 
-def evaluate_constraints(
-    constraints: Iterable[Constraint], assignment: Dict[Key, int]
-) -> bool:
-    """Check a candidate integer assignment against all constraints."""
-    return all(c.holds(assignment) for c in constraints)
-
-
 # ---------------------------------------------------------------------------
 # Core engine: integer rows with provenance bitmasks
 # ---------------------------------------------------------------------------

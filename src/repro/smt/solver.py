@@ -1,7 +1,7 @@
 """Lazy DPLL(T) solver for the Re2 refinement logic.
 
 This is the component that stands in for Z3 in the paper's tool chain: the
-type checker, the Horn solver and the CEGIS loop all discharge their queries
+type checker and the CEGIS loop discharge their queries
 through :func:`check_sat` / :func:`check_valid`.
 
 The solver enumerates Boolean models of the Tseitin skeleton produced by
@@ -51,8 +51,8 @@ T-NInc ablation shows to matter, Table 2):
 There is one pipeline: every query goes through the shared encoder, the
 shared database and the memoized LIA engine.  The memo tables are
 transparent (a cold process synthesizes the same programs as a warm one);
-the independent oracle for the theory layer is
-:mod:`repro.smt.lia_reference`.
+the independent oracle for the theory layer is the Fraction-based
+reference engine in ``tests/lia_reference.py``.
 """
 
 from __future__ import annotations

@@ -24,10 +24,8 @@ from repro.typing.types import (
     monotype,
     nat_type,
     nu,
-    nu_for,
     slist_type,
     substitute_in_type,
-    tree_type,
     tvar_type,
 )
 

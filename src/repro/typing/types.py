@@ -259,10 +259,6 @@ def slist_type(elem: RType, refinement: Term = t.TRUE, potential: Term = t.ZERO)
     return list_type(elem, refinement, potential, sorted=True)
 
 
-def tree_type(elem: RType, refinement: Term = t.TRUE, potential: Term = t.ZERO) -> RType:
-    return RType(TreeBase(elem), refinement, potential)
-
-
 def arrow(*params_and_result, cost: int = 0) -> ArrowType:
     """Build a curried arrow type from ``(name, type)`` pairs plus a result.
 
@@ -285,11 +281,6 @@ def arrow(*params_and_result, cost: int = 0) -> ArrowType:
 def nu(sort: Sort = INT) -> t.Var:
     """The value variable with an explicit sort."""
     return t.Var(NU_NAME, sort)
-
-
-def nu_for(base: BaseType) -> t.Var:
-    """The value variable for a given base type."""
-    return t.Var(NU_NAME, base.nu_sort())
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ implementations that the optimized pipeline replaced:
   Fourier–Motzkin engine that :mod:`repro.smt.lia` replaced with the
   integer-scaled one, used by ``tests/test_lia_core.py`` as a verdict oracle.
 
-Everything here is deliberately unoptimized and uncached — do not call it
-from the synthesis pipeline.
+Everything here is deliberately unoptimized and uncached; it lives with the
+tests because only the tests use it.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.aara import LinearBound, infer_linear_bound
 from repro.analysis.empirical import (
     BOUND_SHAPES,
     CostSample,
@@ -11,11 +10,9 @@ from repro.analysis.empirical import (
     measure_cost,
 )
 from repro.benchsuite.definitions import (
-    append_benchmark,
     benchmark_by_key,
     fast_benchmarks,
     is_empty_benchmark,
-    length_benchmark,
     table1_benchmarks,
     table2_benchmarks,
     triple_benchmark,
@@ -71,26 +68,6 @@ class TestEmpirical:
 
     def test_bound_shapes_cover_paper_bounds(self):
         assert set(BOUND_SHAPES) >= {"1", "n", "n + m", "n * m", "2^n"}
-
-
-class TestAara:
-    def test_infer_linear_bound_for_append(self):
-        bench = append_benchmark()
-        bound = infer_linear_bound(hand_written_append(), bench.goal, max_coefficient=3)
-        assert bound is not None
-        assert bound.total({"xs": 10, "ys": 5}) <= 10 + 5
-        assert dict(bound.coefficients)["xs"] >= 1
-
-    def test_no_linear_bound_for_unpayable_program(self):
-        bench = length_benchmark()
-        # A program that recurses without consuming its argument has no linear bound.
-        looping = s.Fix("lengthOf", ("xs",), s.App("inc", (s.App("lengthOf", (s.Var("xs"),)),)))
-        assert infer_linear_bound(looping, bench.goal, max_coefficient=2) is None
-
-    def test_linear_bound_str_and_total(self):
-        bound = LinearBound((("xs", 2), ("ys", 0)), constant=1)
-        assert "2*|xs|" in str(bound)
-        assert bound.total({"xs": 3, "ys": 100}) == 7
 
 
 class TestBenchsuite:

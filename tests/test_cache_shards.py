@@ -1,4 +1,4 @@
-"""Tests for the sharded result cache (repro.service.cache.ShardedResultCache).
+"""Tests for result-cache sharding (repro.service.cache.ResultCache(shards=N)).
 
 Four properties make sharding safe to roll out under a live server:
 
@@ -6,12 +6,12 @@ Four properties make sharding safe to roll out under a live server:
   identical across instances, processes, and reopens (the shard count is
   persisted in ``meta.json`` and a mismatched reopen is refused);
 * **behavioral parity** — the Table 1 workload sees the same hits, misses
-  and synthesized programs through a sharded cache as through the unsharded
-  one it replaces;
+  and synthesized programs through 4 shards as through 1;
 * **failure isolation** — LRU caps and quarantine act per shard, so one hot
   or corrupt prefix range cannot evict (or poison) the whole keyspace;
-* **in-place upgrade** — a pre-sharding v2 directory stays readable through
-  the sharded front, promoting entries to their owning shard on first hit.
+* **on-disk compatibility** — plain (one-shard) and sharded directories in
+  the v2 layout, written by hand here, open with their pinned shard count
+  and hit.
 """
 
 import json
@@ -20,17 +20,16 @@ import random
 
 import pytest
 
-from repro.benchsuite.runner import benchmark_config, selected_benchmarks
+from repro.benchsuite.runner import benchmark_config, run_table, selected_benchmarks
+from repro.service.__main__ import main as service_main
 from repro.service.cache import (
-    DEFAULT_SHARDS,
+    CACHE_FORMAT_VERSION,
     ResultCache,
-    ShardedResultCache,
     open_cache,
+    record_checksum,
     shard_index,
 )
 from repro.service.scheduler import BatchScheduler, job_for_goal
-
-from conftest import tiny_config, tiny_goal
 
 
 def fp_in_shard(target, shards, salt=0):
@@ -70,8 +69,8 @@ class TestShardIndex:
             shard_index("ab" * 32, 0)
 
     def test_instances_route_identically(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path / "c"), shards=4)
-        reopened = ShardedResultCache(str(tmp_path / "c"))
+        cache = ResultCache(str(tmp_path / "c"), shards=4)
+        reopened = ResultCache(str(tmp_path / "c"))
         rng = random.Random(3)
         for _ in range(25):
             fingerprint = "".join(rng.choice("0123456789abcdef") for _ in range(64))
@@ -81,25 +80,33 @@ class TestShardIndex:
 class TestPersistence:
     def test_shard_count_persists_and_mismatch_is_refused(self, tmp_path):
         root = str(tmp_path / "cache")
-        ShardedResultCache(root, shards=3)
+        ResultCache(root, shards=3)
         meta = json.load(open(os.path.join(root, "meta.json")))
         assert meta["shards"] == 3
-        assert ShardedResultCache(root).shards == 3  # persisted count wins
+        assert ResultCache(root).shards == 3  # persisted count wins
         with pytest.raises(ValueError):
-            ShardedResultCache(root, shards=5)
+            ResultCache(root, shards=5)
 
     def test_open_cache_flavours(self, tmp_path):
         plain = open_cache(str(tmp_path / "plain"))
-        assert isinstance(plain, ResultCache)
-        assert isinstance(open_cache(str(tmp_path / "one"), shards=1), ResultCache)
+        assert isinstance(plain, ResultCache) and plain.shards == 1
+        assert open_cache(str(tmp_path / "one"), shards=1).shards == 1
         sharded = open_cache(str(tmp_path / "sharded"), shards=4)
-        assert isinstance(sharded, ShardedResultCache)
-        # Reopening without asking for shards auto-detects the layout.
-        reopened = open_cache(str(tmp_path / "sharded"))
-        assert isinstance(reopened, ShardedResultCache) and reopened.shards == 4
+        assert isinstance(sharded, ResultCache) and sharded.shards == 4
+        # Reopening without asking for shards uses the pinned count.
+        assert open_cache(str(tmp_path / "sharded")).shards == 4
+        assert open_cache(str(tmp_path / "plain")).shards == 1
 
     def test_default_shard_count(self, tmp_path):
-        assert ShardedResultCache(str(tmp_path / "c")).shards == DEFAULT_SHARDS
+        root = str(tmp_path / "c")
+        cache = ResultCache(root)
+        assert cache.shards == 1
+        fingerprint = fp_in_shard(0, 4)
+        cache.store(fingerprint, record_for("plain"))
+        # One shard is the plain layout: objects/ sits directly under the root.
+        entry = os.path.join(root, "objects", fingerprint[:2], f"{fingerprint}.json")
+        assert os.path.exists(entry)
+        assert not os.path.exists(os.path.join(root, "shards"))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +116,7 @@ class TestPersistence:
 
 class TestRouting:
     def test_entries_land_in_their_shard_directory(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path / "c"), shards=4)
+        cache = ResultCache(str(tmp_path / "c"), shards=4)
         for target in range(4):
             fingerprint = fp_in_shard(target, 4)
             cache.store(fingerprint, record_for(f"s{target}"))
@@ -128,7 +135,7 @@ class TestRouting:
         )
 
     def test_lookup_update_and_clear(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path / "c"), shards=2)
+        cache = ResultCache(str(tmp_path / "c"), shards=2)
         fingerprint = fp_in_shard(1, 2)
         assert cache.lookup(fingerprint) is None
         cache.store(fingerprint, record_for("x"))
@@ -142,7 +149,7 @@ class TestRouting:
 
 
 # ---------------------------------------------------------------------------
-# Parity with the unsharded cache on the real workload
+# Parity between 1 and 4 shards on the real workload
 # ---------------------------------------------------------------------------
 
 
@@ -155,15 +162,13 @@ def _table1_resyn_jobs():
 
 class TestParity:
     def test_hit_rate_parity_on_table1(self, tmp_path):
-        """Cold-then-warm Table 1 traffic: sharded == unsharded, bit for bit."""
+        """Cold-then-warm Table 1 traffic: 4 shards == 1 shard, bit for bit."""
         outcomes = {}
-        for flavour, cache_factory in (
-            ("plain", lambda: ResultCache(str(tmp_path / "plain"))),
-            ("sharded", lambda: ShardedResultCache(str(tmp_path / "sharded"), shards=4)),
-        ):
-            cold = BatchScheduler(workers=1, cache=cache_factory())
+        for flavour, shards in (("plain", 1), ("sharded", 4)):
+            root = str(tmp_path / flavour)
+            cold = BatchScheduler(workers=1, cache=ResultCache(root, shards=shards))
             cold_results = cold.run(_table1_resyn_jobs())
-            warm = BatchScheduler(workers=1, cache=cache_factory())
+            warm = BatchScheduler(workers=1, cache=ResultCache(root))
             warm_results = warm.run(_table1_resyn_jobs())
             outcomes[flavour] = {
                 "programs": [r.program_text for r in warm_results],
@@ -178,7 +183,7 @@ class TestParity:
         assert plain["programs"] == sharded["programs"]
 
     def test_stats_merge_and_hit_rate(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path / "c"), shards=4)
+        cache = ResultCache(str(tmp_path / "c"), shards=4)
         hits = [fp_in_shard(i % 4, 4, salt=1) for i in range(8)]
         for fingerprint in hits:
             cache.store(fingerprint, record_for("h"))
@@ -199,7 +204,7 @@ class TestIsolation:
     def test_per_shard_lru_eviction(self, tmp_path):
         # max_entries=8 over 4 shards = 2 per shard: 5 stores into one shard
         # must evict locally without touching the other shards' entries.
-        cache = ShardedResultCache(str(tmp_path / "c"), shards=4, max_entries=8)
+        cache = ResultCache(str(tmp_path / "c"), shards=4, max_entries=8)
         keepers = [fp_in_shard(target, 4, salt=2) for target in (1, 2, 3)]
         for fingerprint in keepers:
             cache.store(fingerprint, record_for("keep"))
@@ -212,7 +217,7 @@ class TestIsolation:
             assert cache.lookup(fingerprint) is not None
 
     def test_per_shard_quarantine(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path / "c"), shards=4)
+        cache = ResultCache(str(tmp_path / "c"), shards=4)
         bad = fp_in_shard(0, 4, salt=5)
         good = fp_in_shard(1, 4, salt=5)
         cache.store(bad, record_for("bad"))
@@ -231,51 +236,54 @@ class TestIsolation:
 
 
 # ---------------------------------------------------------------------------
-# Legacy v2 read-through
+# Directories already on disk, and the artifacts a cache root carries
 # ---------------------------------------------------------------------------
 
 
+def write_entry(objects_dir, fingerprint, tag):
+    """Hand-write one checksummed v2 entry under ``objects_dir``."""
+    entry = {**record_for(tag), "fingerprint": fingerprint, "stored_at": 0.0}
+    entry["checksum"] = record_checksum(entry)
+    path = os.path.join(objects_dir, fingerprint[:2], f"{fingerprint}.json")
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w") as handle:
+        json.dump(entry, handle)
+
+
+def write_meta(root, meta):
+    os.makedirs(root, exist_ok=True)
+    with open(os.path.join(root, "meta.json"), "w") as handle:
+        json.dump(meta, handle)
+
+
 class TestLegacyUpgrade:
-    def _legacy_with_entries(self, root, count=6):
-        legacy = ResultCache(root)
-        fingerprints = []
-        rng = random.Random(11)
-        for i in range(count):
-            fingerprint = "".join(rng.choice("0123456789abcdef") for _ in range(64))
-            legacy.store(fingerprint, record_for(f"legacy{i}"))
-            fingerprints.append(fingerprint)
-        return fingerprints
+    """Directories in the v2 layout open in place, with no migration."""
 
-    def test_readthrough_promotes_and_converges(self, tmp_path):
-        root = str(tmp_path / "cache")
-        fingerprints = self._legacy_with_entries(root)
-        cache = ShardedResultCache(root, shards=4)
-        assert len(cache) == len(fingerprints)
-        for fingerprint in fingerprints:
-            entry = cache.lookup(fingerprint)
-            assert entry is not None and entry["goal_name"].startswith("legacy")
-            # Promoted: the owning shard now serves it directly...
-            assert cache._shard(fingerprint).lookup(fingerprint) is not None
-            # ...and the legacy copy is gone.
-            assert not os.path.exists(cache._legacy._entry_path(fingerprint))
-        assert len(cache._legacy) == 0
-        # A promotion counts as ONE logical lookup in the merged stats.
-        lookups = len(fingerprints) * 2  # readthrough pass + shard-direct pass
-        assert cache.stats.hits + cache.stats.misses == lookups
+    def test_plain_v2_directory_opens_with_one_shard(self, tmp_path):
+        root = str(tmp_path / "plain")
+        fingerprint = fp_in_shard(3, 4, salt=12)
+        write_meta(root, {"format": CACHE_FORMAT_VERSION})  # pre-sharding meta
+        write_entry(os.path.join(root, "objects"), fingerprint, "plain")
+        cache = ResultCache(root)
+        assert cache.shards == 1
+        assert cache.lookup(fingerprint)["goal_name"] == "plain"
+        with pytest.raises(ValueError):
+            ResultCache(root, shards=4)
 
-    def test_upgraded_root_reopens_sharded(self, tmp_path):
-        root = str(tmp_path / "cache")
-        fingerprints = self._legacy_with_entries(root)
-        first = ShardedResultCache(root, shards=4)
-        for fingerprint in fingerprints:
-            first.lookup(fingerprint)
-        reopened = open_cache(root)
-        assert isinstance(reopened, ShardedResultCache) and reopened.shards == 4
-        for fingerprint in fingerprints:
-            assert reopened.lookup(fingerprint) is not None
+    def test_sharded_v2_directory_opens_with_pinned_count(self, tmp_path):
+        root = str(tmp_path / "sharded")
+        fingerprint = fp_in_shard(2, 4, salt=13)
+        write_meta(root, {"format": CACHE_FORMAT_VERSION, "shards": 4})
+        write_entry(os.path.join(root, "shards", "02", "objects"), fingerprint, "sharded")
+        for shards in (None, 4):
+            cache = ResultCache(root, shards=shards)
+            assert cache.shards == 4
+            assert cache.lookup(fingerprint)["goal_name"] == "sharded"
+        with pytest.raises(ValueError):
+            ResultCache(root, shards=1)
 
     def test_telemetry_records_shard_count(self, tmp_path):
-        cache = ShardedResultCache(str(tmp_path / "c"), shards=4)
+        cache = ResultCache(str(tmp_path / "c"), shards=4)
         cache.store(fp_in_shard(0, 4, salt=9), record_for("t"))
         cache.record_run_telemetry({"wall_seconds": 1.0})
         telemetry = cache.telemetry()
@@ -283,3 +291,37 @@ class TestLegacyUpgrade:
         assert telemetry["last_run"]["shards"] == 4
         cache.record_run_telemetry({"wall_seconds": 1.0})
         assert cache.telemetry()["runs"] == 2
+
+
+class TestEntryPoints:
+    def test_repro_cache_env_keeps_the_pinned_layout(self, tmp_path, monkeypatch):
+        """``run_table`` under ``REPRO_CACHE`` hits a 4-shard root in place."""
+        root = str(tmp_path / "cache")
+        bench = selected_benchmarks("table1")[0]
+        job = job_for_goal(bench.goal, benchmark_config(bench, "resyn"), tag="seed")
+        BatchScheduler(workers=1, cache=ResultCache(root, shards=4)).run([job])
+        monkeypatch.setenv("REPRO_CACHE", root)
+        monkeypatch.setattr("repro.benchsuite.runner.selected_benchmarks", lambda table: [bench])
+        run_table("table1", ["resyn"], workers=1)
+        last_run = ResultCache(root).telemetry()["last_run"]
+        assert last_run["cache"]["cache_hits"] == 1
+        assert last_run["cache"]["cache_misses"] == 0
+        assert not os.path.exists(os.path.join(root, "objects"))
+
+    def test_stats_command_names_shard_quarantine(self, tmp_path, capsys):
+        root = str(tmp_path / "cache")
+        cache = ResultCache(root, shards=2)
+        bad = fp_in_shard(1, 2, salt=14)
+        cache.store(bad, record_for("bad"))
+        cache.store(fp_in_shard(0, 2, salt=14), record_for("good"))
+        with open(cache._entry_path(bad), "w") as handle:
+            handle.write('{"goal_name": "tampered"}')
+        assert cache.lookup(bad) is None  # quarantined into shard 01
+        assert service_main(["stats", root]) == 0
+        out = capsys.readouterr().out
+        assert "1 entries in 2 shard(s)" in out
+        quarantine = os.path.join(os.path.abspath(root), "shards", "01", "quarantine")
+        assert f"1 quarantined entries under {quarantine}\n" in out
+        assert service_main(["stats", root, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["shards"] == 2 and payload["quarantined_entries"] == 1

@@ -1,17 +1,9 @@
-"""Tests for the constraint layer: store, incremental CEGIS, Horn solver."""
+"""Tests for the constraint layer: store and incremental CEGIS."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints.cegis import CegisSolver, Example
-from repro.constraints.horn import (
-    HornClause,
-    HornSolverError,
-    Unknown,
-    UnknownApp,
-    default_qualifiers,
-    solve_horn,
-)
 from repro.constraints.store import (
     ConstraintStore,
     ResourceConstraint,
@@ -189,33 +181,3 @@ class TestCegis:
         value = solution[c.name]
         assert value >= lower
         assert all(value - xv + slack >= 0 for xv in range(0, 11))
-
-
-class TestHorn:
-    def test_concrete_clauses_checked(self):
-        clause = HornClause((x >= 1,), x >= 0)
-        assert solve_horn([clause], {}) == {}
-        with pytest.raises(HornSolverError):
-            solve_horn([HornClause((x >= 0,), x >= 1)], {})
-
-    def test_unknown_head_gets_strongest_qualifiers(self):
-        u = Unknown("U", ("x",))
-        clause = HornClause((x >= 2,), UnknownApp(u))
-        qualifiers = {"U": [x >= 0, x >= 5]}
-        solution = solve_horn([clause], qualifiers)
-        assert solution["U"] == (x >= 0)
-
-    def test_unknown_used_in_body(self):
-        u = Unknown("U", ("x",))
-        clauses = [
-            HornClause((x >= 3,), UnknownApp(u)),
-            HornClause((UnknownApp(u),), x >= 0),
-        ]
-        qualifiers = {"U": [x >= 0, x >= 3]}
-        solution = solve_horn(clauses, qualifiers)
-        assert eval_term(t.implies(x >= 3, solution["U"]), {"x": 3})
-
-    def test_default_qualifiers(self):
-        quals = default_qualifiers([x, y])
-        assert (x <= y) in quals
-        assert (x >= 0) in quals

@@ -19,7 +19,6 @@ from repro.service.scheduler import (
     POISON_KILLS,
     BatchScheduler,
     JobResult,
-    job_for_goal,
 )
 
 from conftest import baseline_records, canon, records_of, tiny_config, tiny_goal, tiny_jobs

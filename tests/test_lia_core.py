@@ -1,7 +1,7 @@
 """A/B and property tests for the integer-scaled LIA core and the CDCL SAT engine.
 
 The integer engine in :mod:`repro.smt.lia` must agree verdict-for-verdict
-with the retained Fraction-based reference (:mod:`repro.smt.lia_reference`),
+with the retained Fraction-based reference (``tests/lia_reference.py``),
 its unsat cores must be genuinely unsatisfiable *and* minimal, and the VSIDS
 CDCL solver in :mod:`repro.smt.sat` must agree with brute-force enumeration
 on randomized small formulas (with and without assumptions).
@@ -12,12 +12,13 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import lia
-from repro.smt.lia_reference import (
+from repro.smt.linexpr import Constraint, LinExpr, int_form
+from repro.smt.sat import CNF, SatSolver
+
+from lia_reference import (
     check_integer_feasible_reference,
     check_rational_feasible_reference,
 )
-from repro.smt.linexpr import Constraint, LinExpr, int_form
-from repro.smt.sat import CNF, SatSolver
 
 
 VARS = ("x", "y", "z")

@@ -3,7 +3,7 @@
 The int-backed representation (normalized ``(numerator_tuple, common
 denominator)`` pairs, :mod:`repro.smt.linexpr`) must be observationally
 identical to the retained dict-of-Fractions model
-(:class:`repro.smt.lia_reference.RefLinExpr`): random chains of
+(``RefLinExpr`` in ``tests/lia_reference.py``): random chains of
 add/subtract/scale/negate operations evaluate to the same rationals, the
 ``coeffs``/``constant`` views expose the same Fractions, equality of
 expressions matches equality of their rational coefficient maps, and
@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.smt.lia_reference import RefLinExpr
 from repro.smt.linexpr import LinExpr, int_form
+
+from lia_reference import RefLinExpr
 
 VARS = ("x", "y", "z", "w")
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import AsymptoticGoal, SynthesisConfig
+from repro.core import SynthesisConfig
 from repro.portfolio import (
     PortfolioRunner,
     compile_ladder,

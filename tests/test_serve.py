@@ -25,7 +25,7 @@ import threading
 import pytest
 
 from repro.service import faults
-from repro.service.cache import ShardedResultCache
+from repro.service.cache import ResultCache
 from repro.service.codec import config_to_json, goal_to_json
 from repro.service.scheduler import POISON_KILLS, BatchScheduler, job_for_goal
 from repro.service.serve import SynthesisServer, jobs_from_wire, serve_in_thread
@@ -117,7 +117,7 @@ def assert_stream_ordering(events, expect_jobs):
 
 @pytest.fixture(scope="module")
 def warm_server(tmp_path_factory):
-    cache = ShardedResultCache(str(tmp_path_factory.mktemp("serve-cache")), shards=4)
+    cache = ResultCache(str(tmp_path_factory.mktemp("serve-cache")), shards=4)
     handle = serve_in_thread(workers=2, cache=cache)
     yield handle
     handle.stop()
