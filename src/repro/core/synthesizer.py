@@ -12,12 +12,23 @@ of Fig. 8: at every hole it tries, in order,
    conditions; and
 3. *pattern matches* on list/tree variables in scope.
 
-Every candidate piece is checked *as it is constructed* against the Re2 goal
-type: functional subtyping queries go straight to the SMT layer, resource
-demands become resource constraints handled by the incremental CEGIS solver,
-and any violation prunes the whole subtree of the search — this is the
-round-trip, resource-guided pruning that distinguishes ReSyn from the naive
-enumerate-and-check combination (Sec. 2.4, Table 2 column T-EAC).
+Branches are checked as they are built: a conditional's guard and a match's
+branch contexts are typed before any branch is searched, so a violation
+prunes the whole subtree.  E-terms are enumerated whole and each is then
+checked against the Re2 goal type: functional subtyping queries go straight
+to the SMT layer and resource demands become resource constraints handled by
+the incremental CEGIS solver.  Before that, the *head check*
+(:meth:`TypeChecker.can_afford`) asks once per hole and callee whether the
+hole's context can pay the callee's cost plus its parameters' constant
+self-potentials; candidates that apply an unaffordable callee anywhere in
+their tree are skipped without checking any argument combination.  It is
+exact (it rejects only what the full check would reject) when free potential
+can only decrease along an E-term check, so it blocks nothing when a result
+type carries self-potential, the free potential mentions an unknown
+coefficient, the search is not resource-aware, or the query is undecided.
+This round-trip, resource-guided pruning is what distinguishes ReSyn from the
+naive enumerate-and-check combination (Sec. 2.4, Table 2 column T-EAC), which
+eagerly rejects nothing.
 
 Two invariants the engine relies on:
 
@@ -117,6 +128,12 @@ class Synthesizer:
             cegis=self.cegis,
         )
         self.candidates_checked = 0
+        # Candidates skipped by the head check (TypeChecker.can_afford).  They
+        # count in candidates_checked, so max_candidates caps the same search.
+        self.eager_rejections = 0
+        self._head_check = (
+            self.config.checker.resource_aware and not self.config.enumerate_and_check
+        )
         self._deadline: Optional[float] = None
         self._fresh = itertools.count()
         # PBE front-end state (both None/empty for plain goals, so the paper's
@@ -201,6 +218,7 @@ class Synthesizer:
         report.update(
             {
                 "eterm_checks": self.checker.stats.eterm_checks,
+                "eager_rejections": self.eager_rejections,
                 "subtype_queries": self.checker.stats.subtype_queries,
                 "resource_constraints": self.checker.stats.resource_constraints,
                 "lia_cache_hit_rate": round(lia_hits / lia_queries, 4) if lia_queries else 0.0,
@@ -301,10 +319,15 @@ class Synthesizer:
             yield s.Impossible()
             return
 
-        # 1. E-terms (Syn-Atom / atomic synthesis).
+        # 1. E-terms (Syn-Atom / atomic synthesis).  Head check verdicts are
+        # per hole: the same callee is affordable or not in every candidate.
+        verdicts: Dict[str, bool] = {}
         for candidate in self._eterm_candidates(ctx, goal.base):
             self._check_time()
             self.candidates_checked += 1
+            if self._head_check and not self._affordable(ctx, candidate, verdicts):
+                self.eager_rejections += 1
+                continue
             marker = self.store.push()
             # The span closes before the yield: leaving it open across the
             # generator suspension would corrupt the tracer's span stack.
@@ -323,6 +346,19 @@ class Synthesizer:
         # 3. Pattern matches (Syn-MatL).
         if match_depth > 0:
             yield from self._match_solutions(ctx, goal, match_depth, cond_depth)
+
+    def _affordable(self, ctx: Context, expr: s.Expr, verdicts: Dict[str, bool]) -> bool:
+        """Whether ``ctx`` can pay for every application in ``expr``'s tree."""
+        if isinstance(expr, s.App):
+            affordable = verdicts.get(expr.func)
+            if affordable is None:
+                affordable = verdicts[expr.func] = self.checker.can_afford(ctx, expr.func)
+            return affordable and all(self._affordable(ctx, arg, verdicts) for arg in expr.args)
+        if isinstance(expr, s.Cons):
+            return self._affordable(ctx, expr.head, verdicts) and self._affordable(
+                ctx, expr.tail, verdicts
+            )
+        return True
 
     def _conditional_solutions(
         self, ctx: Context, goal: RType, match_depth: int, cond_depth: int

@@ -89,9 +89,10 @@ _MODULE_CACHE_MAX = 1 << 16
 #: Bound on an encoder's clause database.  Propagation walks past every
 #: clause outside a query's cone that shares a watched literal with it, so
 #: per-solve cost grows with the database; at the bound the encoder starts a
-#: new one.  A synthesis of a fast committed goal stays below it (the largest,
-#: ``asym_compare``, peaks near 39,000 clauses); long CEGIS runs such as
-#: ``t1_insert_sorted`` and long-lived warm workers reach it.
+#: new one.  A synthesis of a fast committed goal stays far below it (the
+#: largest, the ``O(n)[c=1]`` rung of ``asym_subset``, peaks near 8,000
+#: clauses); long CEGIS runs such as ``t1_insert_sorted`` and long-lived warm
+#: workers reach it.
 _DATABASE_MAX = 1 << 16
 #: Bound on the per-formula encodings one encoder keeps (an LRU, sized like
 #: the solver's validity cache).

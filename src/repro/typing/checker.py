@@ -30,6 +30,7 @@ from repro.constraints.cegis import CegisSolver
 from repro.constraints.store import (
     ConstraintStore,
     ResourceConstraint,
+    coefficients_in,
     fresh_coefficient_var,
     linear_template,
 )
@@ -114,6 +115,9 @@ class TypeChecker:
             else CegisSolver(self.solver, incremental=self.config.incremental_cegis)
         )
         self.stats = CheckerStats()
+        self._components_release = any(
+            _releases_potential(schema.body, schema.tvars) for schema in schemas.values()
+        )
 
     # ------------------------------------------------------------------
     # Whole programs
@@ -493,6 +497,64 @@ class TypeChecker:
             return None
         return ctx.spend_free(amount)
 
+    def can_afford(self, ctx: Context, callee: str) -> bool:
+        """The head check: whether ``ctx`` can pay for an application of ``callee``.
+
+        ``False`` means every E-term that applies ``callee`` anywhere in its
+        tree (as the head, inside an argument or inside a ``Cons`` cell) fails
+        :meth:`check_eterm` in ``ctx``, so the synthesizer may skip all of
+        them without type-checking a single argument combination.  The demand
+        is the callee's ``total_cost()`` plus the non-negative ``IntConst``
+        self-potentials of its parameters, and the check is one validity
+        query ``assumptions(ctx) ==> free - demand >= 0``.
+
+        The check blocks only what the late check would also reject.  Take a
+        model of ``assumptions(ctx)`` in which ``free - demand < 0``.  Along
+        one E-term check that starts in ``ctx``:
+
+        * free potential only decreases.  Every payment (application costs,
+          parameter self-potentials, the element potential of ``Cons`` heads)
+          is non-negative wherever the argument's refinement holds, and no
+          ghost binding adds to the pool, because no result type carries
+          self-potential (otherwise this check blocks nothing);
+        * ghost bindings only add assumptions, and these are conservative
+          extensions: the model extends to every ghost.  That holds when each
+          component's result refinement is satisfiable whenever its argument
+          refinements hold, which is an assumption about the library;
+          byte-identical programs on every committed suite are its check.
+
+        So when the late check reaches ``callee``'s cost payment, the extended
+        model refutes it, whatever the arguments were.
+
+        The check blocks nothing (returns ``True``) when the checker is not
+        resource-aware, the demand is zero, the free pool mentions an unknown
+        coefficient (that verdict belongs to CEGIS, and this check never goes
+        through :meth:`_require`, so the store and the CEGIS state are left
+        alone), a result type could release potential into the pool, or the
+        query is undecided.
+        """
+        if not self.config.resource_aware:
+            return True
+        resolved = self._resolve_callee(ctx, callee)
+        if resolved is None:
+            return True
+        arrow = resolved[0]
+        demand = arrow.total_cost()
+        for _, ptype in arrow.params():
+            potential = ptype.potential if isinstance(ptype, RType) else None
+            if isinstance(potential, t.IntConst) and potential.value > 0:
+                demand += potential.value
+        if demand == 0 or coefficients_in(ctx.free_potential) or self._components_release:
+            return True
+        if ctx.fix is not None and _releases_potential(ctx.fix.arrow, ()):
+            return True
+        remaining = simplify(t.Sub(ctx.free_potential, t.IntConst(demand)))
+        try:
+            with trace.span("check.afford"):
+                return self.solver.check_valid(t.implies(ctx.assumptions(), remaining >= 0))
+        except (SolverError, EncodingError):
+            return True
+
     def _pay_elements(self, ctx: Context, arg: s.Expr, required: Term) -> Optional[Context]:
         """Pay a per-element potential requirement for a list argument."""
         if isinstance(arg, s.Nil):
@@ -781,6 +843,21 @@ class TypeChecker:
 
 def _is_zero(term: Term) -> bool:
     return isinstance(term, t.IntConst) and term.value == 0
+
+
+def _releases_potential(body: Type, tvars: Tuple[str, ...]) -> bool:
+    """Whether binding a ghost for this callee's result could add free potential.
+
+    It could when the result type carries self-potential, or when it is a
+    quantified type variable, whose instantiation carries a fresh unknown
+    potential (see :meth:`TypeChecker._instantiate_tvars`).
+    """
+    if not isinstance(body, ArrowType):
+        return False
+    result = body.final_result()
+    if not _is_zero(simplify(result.potential)):
+        return True
+    return isinstance(result.base, TypeVarBase) and result.base.name in tvars
 
 
 def _tvar_occurrences(ptype: Type) -> List[Tuple[str, bool]]:
