@@ -14,11 +14,14 @@ The *incremental* variant (the paper's contribution, evaluated in the T-NInc
 column of Table 2) keeps the current solution and example set across calls and
 only re-synthesizes coefficients for the clauses actually violated by a new
 counterexample.
+
+Grounding a constraint on an example is integer evaluation of the
+expression's per-coefficient linear form (:func:`linear_form`); the solver
+decides each (guard, example) pair once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +32,7 @@ from repro.obs import trace
 from repro.smt.linexpr import Constraint as LinConstraint
 from repro.smt.linexpr import LinExpr
 from repro.smt.encoder import EncodingError, linearize
-from repro.smt.lia import check_integer_feasible
+from repro.smt.lia import BudgetExceeded, check_integer_feasible
 from repro.smt.solver import Solver, SolverError
 
 
@@ -51,32 +54,25 @@ class CegisStats:
         return self.grounding_cache_hits / total if total else 0.0
 
 
-_example_counter = itertools.count()
-
-
 @dataclass
 class Example:
     """A counterexample: concrete values for program variables and measures."""
 
     ints: Dict[object, int]
-    #: Stable identity used to key grounding caches across solve() calls.
-    key: int = field(default_factory=lambda: next(_example_counter))
+    #: The example's values; equal counterexamples share guard decisions and
+    #: grounded rows across :meth:`CegisSolver.solve` calls.
+    key: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.key = frozenset(self.ints.items())
 
     def substitute_into(self, term: Term) -> Term:
-        """Replace program variables and measure applications by their values."""
-        key = (term, self.key)
-        cached = _GROUND_TERM_CACHE.get(key)
-        if cached is None:
-            cached = _substitute_values(term, self.ints)
-            if len(_GROUND_TERM_CACHE) >= _GROUND_TERM_CACHE_MAX:
-                _GROUND_TERM_CACHE.clear()
-            _GROUND_TERM_CACHE[key] = cached
-        return cached
+        """Replace numeric program variables and measure applications by their values.
 
-
-#: (term, example key) -> grounded term; examples are immutable once created.
-_GROUND_TERM_CACHE: Dict[Tuple[Term, int], Term] = {}
-_GROUND_TERM_CACHE_MAX = 1 << 16
+        Guards, and expressions without a linear form, are grounded this
+        way; Booleans, sets and unknown coefficients stay symbolic.
+        """
+        return _substitute_values(term, self.ints)
 
 
 def _substitute_values(term: Term, values: Dict[object, int]) -> Term:
@@ -103,6 +99,80 @@ def _substitute_values(term: Term, values: Dict[object, int]) -> Term:
     if isinstance(term, t.SetAll):
         return t.SetAll(term.var, new_children[0], new_children[1])
     return t._rebuild(term, new_children)
+
+
+#: A linear form: ``(coefficient, variable, n)`` triples standing for the sum
+#: of ``n * coefficient * variable``, where a ``None`` coefficient or
+#: variable stands for 1.  Variables are program variable names and numeric
+#: measure applications.
+LinearForm = Tuple[Tuple[Optional[str], object, int], ...]
+
+
+def linear_form(expr: Term) -> Optional[LinearForm]:
+    """``expr`` as a per-coefficient linear form, or ``None`` when it has none.
+
+    Grounding ``expr`` on an example is then integer evaluation of the form
+    (:func:`_ground_form`), and gives the row that substituting the
+    example's values into ``expr`` and linearizing would give.  There is no
+    form for an ``Ite``, a set or Boolean leaf, a product of two program
+    variables, or a product whose factors both mention coefficients (for
+    such terms the substituted term may or may not be linear, depending on
+    the example).  The result is cached on the interned node.
+    """
+    cached = expr.__dict__.get("_linear_form", False)
+    if cached is False:
+        parts = _form_parts(expr)
+        cached = None if parts is None else tuple((c, v, n) for (c, v), n in parts.items() if n)
+        object.__setattr__(expr, "_linear_form", cached)
+    return cached
+
+
+def _form_parts(term: Term) -> Optional[Dict[Tuple[Optional[str], object], int]]:
+    if isinstance(term, t.IntConst):
+        return {(None, None): term.value}
+    if isinstance(term, t.Var):
+        if is_coefficient(term.name):
+            return {(term.name, None): 1}
+        return {(None, term.name): 1} if term.sort.is_numeric else None
+    if isinstance(term, t.App):
+        return {(None, term): 1} if term.sort.is_numeric else None
+    if isinstance(term, (t.Add, t.Sub)):
+        left, right = _form_parts(term.left), _form_parts(term.right)
+        if left is None or right is None:
+            return None
+        sign = 1 if isinstance(term, t.Add) else -1
+        for part, n in right.items():
+            left[part] = left.get(part, 0) + sign * n
+        return left
+    if isinstance(term, t.Mul):
+        left, right = _form_parts(term.left), _form_parts(term.right)
+        if left is None or right is None:
+            return None
+        product: Dict[Tuple[Optional[str], object], int] = {}
+        for (c1, v1), n1 in left.items():
+            for (c2, v2), n2 in right.items():
+                if (c1 is not None and c2 is not None) or (v1 is not None and v2 is not None):
+                    if n1 and n2:
+                        return None
+                    continue
+                part = (c1 if c2 is None else c2, v1 if v2 is None else v2)
+                product[part] = product.get(part, 0) + n1 * n2
+        return product
+    return None
+
+
+def _ground_form(form: LinearForm, values: Dict[object, int]) -> LinExpr:
+    """The form on an example: a linear expression over the coefficients."""
+    coeffs: Dict[str, int] = {}
+    constant = 0
+    for coefficient, variable, n in form:
+        if variable is not None:
+            n *= values.get(variable, 0)
+        if coefficient is None:
+            constant += n
+        else:
+            coeffs[coefficient] = coeffs.get(coefficient, 0) + n
+    return LinExpr.from_dict(coeffs, constant)
 
 
 #: Result of :meth:`CegisSolver._find_counterexample` when the solver could
@@ -133,10 +203,14 @@ class CegisSolver:
         #: restarts, unlike discovered counterexamples.
         self._seed_examples: List[Example] = []
         self.stats = CegisStats()
-        #: (constraint, example.key) -> grounded linear constraints; grounding
-        #: does not depend on the current solution (coefficients stay
-        #: symbolic), so entries stay valid for the lifetime of the example.
-        self._ground_cache: Dict[Tuple[ResourceConstraint, int], List[LinConstraint]] = {}
+        #: (constraint, example values) -> grounded linear constraints;
+        #: grounding does not depend on the current solution (coefficients
+        #: stay symbolic).
+        self._ground_cache: Dict[Tuple[ResourceConstraint, frozenset], List[LinConstraint]] = {}
+        #: (guard, example values) -> whether the grounded guard is
+        #: satisfiable (``None``: undecided).  Grounding and
+        #: :meth:`_is_violated` share it, and it outlives :meth:`reset`.
+        self._guard_cache: Dict[Tuple[Term, frozenset], Optional[bool]] = {}
         #: (expr, relevant coefficient values) -> instantiated expr.
         self._inst_cache: Dict[Tuple[Term, Tuple[Tuple[str, int], ...]], Term] = {}
 
@@ -182,6 +256,8 @@ class CegisSolver:
         self._ground_cache.clear()
         if len(self._inst_cache) > (1 << 14):
             self._inst_cache.clear()
+        if len(self._guard_cache) > (1 << 16):
+            self._guard_cache.clear()
 
     def solve(self, constraints: Sequence[ResourceConstraint]) -> Optional[Dict[str, int]]:
         """Find coefficients satisfying all ``constraints`` (or ``None``).
@@ -276,19 +352,37 @@ class CegisSolver:
         An undecided check counts as violated, so the constraint is re-solved
         on the example rather than assumed to hold.
         """
-        instantiated = self._instantiated_expr(rc, self.solution)
-        violation = (
-            (instantiated < 0)
-            if not rc.equality
-            else t.disj(instantiated < 0, instantiated > 0)
-        )
-        query = t.conj(rc.guard, violation)
-        grounded = example.substitute_into(query)
-        try:
-            return self.solver.check_sat(grounded) is not None
-        except (SolverError, EncodingError):
+        form = linear_form(rc.expr)
+        if form is None:
+            # No linear form: the solver decides the grounded violation query.
+            query = example.substitute_into(self._violation_query(rc, self.solution))
+            try:
+                return self.solver.check_sat(query) is not None
+            except (SolverError, EncodingError):
+                self.stats.undecided += 1
+                return True
+        holds = self._guard_holds(rc.guard, example)
+        if holds is None:
             self.stats.undecided += 1
             return True
+        if not holds:
+            return False
+        # The guard holds and the form exists, so the example grounds to rows.
+        return not all(row.holds(self.solution) for row in self._ground_constraint(rc, example))
+
+    def _guard_holds(self, guard: Term, example: Example) -> Optional[bool]:
+        """Whether ``guard`` is satisfiable on ``example`` (``None``: undecided)."""
+        key = (guard, example.key)
+        if key in self._guard_cache:
+            return self._guard_cache[key]
+        try:
+            holds: Optional[bool] = (
+                self.solver.check_sat(example.substitute_into(guard)) is not None
+            )
+        except (SolverError, EncodingError):
+            holds = None
+        self._guard_cache[key] = holds
+        return holds
 
     # -- synthesis ----------------------------------------------------------
     def _synthesize(
@@ -308,19 +402,23 @@ class CegisSolver:
         with trace.span("cegis.synth") as sp:
             linear: List[LinConstraint] = []
             targets = violated if self.incremental else all_constraints
-            for example in self.examples:
-                for rc in targets:
-                    linear.extend(self._ground_constraint(rc, example))
-            # Keep previously satisfied clauses satisfied on the accumulated
-            # examples as well (cheap, and prevents oscillation).
-            for example in self.examples[:-1]:
-                for rc in all_constraints:
-                    linear.extend(self._ground_constraint(rc, example))
+            with trace.span("cegis.ground"):
+                for example in self.examples:
+                    for rc in targets:
+                        linear.extend(self._ground_constraint(rc, example))
+                # Keep previously satisfied clauses satisfied on the accumulated
+                # examples as well (cheap, and prevents oscillation).
+                for example in self.examples[:-1]:
+                    for rc in all_constraints:
+                        linear.extend(self._ground_constraint(rc, example))
+                # Distinct rows in first-occurrence order: the system LIA sees.
+                linear = list(dict.fromkeys(linear))
             if not linear:
                 return {name: self.solution.get(name, 0) for name in coeffs}
             if sp:
                 sp.count("ground_constraints", len(linear))
-            result = self._solve_with_small_coefficients(linear, coeffs)
+            with trace.span("cegis.lia"):
+                result = self._solve_with_small_coefficients(linear, coeffs)
         if result is None:
             return None
         # Coefficients not mentioned in the violated clauses keep their current
@@ -339,27 +437,45 @@ class CegisSolver:
         Unbounded LIA models tend to pick example-specific constants (e.g. a
         large additive constant that covers the examples seen so far), which
         makes CEGIS oscillate.  Searching with an increasing magnitude bound on
-        the coefficients biases the solver towards generalisable solutions like
-        ``nu - a`` and matches the small-coefficient prior of the paper's
-        implementation.
+        the coefficients (1, 2, 4, 8, then none) biases the solver towards
+        generalisable solutions like ``nu - a`` and matches the
+        small-coefficient prior of the paper's implementation.
+
+        Every bounded system extends the unbounded one, so once bound 1
+        fails, one unbounded query decides whether any bound can succeed;
+        the first feasible bound's model is returned, as before.
         """
         mentioned = sorted({k for c in linear for k in c.expr.variables if isinstance(k, str)})
-        for bound in (1, 2, 4, 8, None):
+
+        def feasible(bound: Optional[int]):
             constraints = list(linear)
             if bound is not None:
                 for name in mentioned:
                     constraints.append(LinConstraint(LinExpr.var(name) - LinExpr.const(bound)))
                     constraints.append(LinConstraint(-LinExpr.var(name) - LinExpr.const(bound)))
             result = check_integer_feasible(constraints)
-            if result.satisfiable and result.model is not None:
-                return result.model
-        return None
+            return result.model if result.satisfiable else None
+
+        model = feasible(1)
+        if model is not None:
+            return model
+        try:
+            unbounded, decided = feasible(None), True
+        except BudgetExceeded:
+            unbounded, decided = None, False  # the bounded queries go first, as before
+        if decided and unbounded is None:
+            return None
+        for bound in (2, 4, 8):
+            model = feasible(bound)
+            if model is not None:
+                return model
+        return unbounded if decided else feasible(None)
 
     def _ground_constraint(self, rc: ResourceConstraint, example: Example) -> List[LinConstraint]:
         """Instantiate a constraint on an example, producing constraints over C.
 
         Grounding leaves the unknown coefficients symbolic, so the result
-        depends only on (constraint, example) and is kept across
+        depends only on (constraint, example values) and is kept across
         :meth:`solve` calls — the incremental loop re-grounds nothing.
         """
         key = (rc, example.key)
@@ -375,15 +491,24 @@ class CegisSolver:
     def _ground_constraint_uncached(
         self, rc: ResourceConstraint, example: Example
     ) -> List[LinConstraint]:
-        guard = example.substitute_into(rc.guard)
-        try:
-            if self.solver.check_sat(guard) is None:
-                return []  # the example does not satisfy the guard: vacuous
-            expr = example.substitute_into(rc.expr)
-            linexpr = linearize(expr)
-        except (SolverError, EncodingError):
-            # Skipping an example only weakens the synthesis query; the
-            # verification step still has to accept the coefficients.
+        holds = self._guard_holds(rc.guard, example)
+        if holds is False:
+            return []  # the example does not satisfy the guard: vacuous
+        linexpr: Optional[LinExpr] = None
+        if holds:
+            form = linear_form(rc.expr)
+            try:
+                linexpr = (
+                    _ground_form(form, example.ints)
+                    if form is not None
+                    else linearize(example.substitute_into(rc.expr))
+                )
+            except EncodingError:
+                pass
+        if linexpr is None:
+            # Undecided guard or no linear term: skipping an example only
+            # weakens the synthesis query; the verification step still has
+            # to accept the coefficients.
             self.stats.undecided += 1
             return []
         # expr >= 0  <=>  -expr <= 0

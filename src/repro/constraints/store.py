@@ -83,6 +83,15 @@ class ResourceConstraint:
     def has_unknowns(self) -> bool:
         return bool(coefficients_in(self.expr))
 
+    def __hash__(self) -> int:
+        # CEGIS grounding looks a constraint up once per (constraint,
+        # example) pair, so the field-tuple hash is computed once.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.guard, self.expr, self.equality, self.origin))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __str__(self) -> str:
         rel = "==" if self.equality else ">="
         return f"{self.guard}  ==>  {self.expr} {rel} 0  [{self.origin}]"

@@ -26,9 +26,12 @@ exact (it rejects only what the full check would reject) when free potential
 can only decrease along an E-term check, so it blocks nothing when a result
 type carries self-potential, the free potential mentions an unknown
 coefficient, the search is not resource-aware, or the query is undecided.
-This round-trip, resource-guided pruning is what distinguishes ReSyn from the
-naive enumerate-and-check combination (Sec. 2.4, Table 2 column T-EAC), which
-eagerly rejects nothing.
+The *prefix rule* does the same for argument prefixes: once the check of
+``f a1 ... an`` fails at argument ``ai`` (``TypeChecker.rejected_prefix``),
+every later candidate of the hole that applies ``f`` to ``a1 ... ai`` is
+skipped too.  This round-trip, resource-guided pruning is what distinguishes
+ReSyn from the naive enumerate-and-check combination (Sec. 2.4, Table 2
+column T-EAC), which eagerly rejects nothing.
 
 Two invariants the engine relies on:
 
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.constraints.cegis import CegisSolver
 from repro.constraints.store import ConstraintStore
@@ -128,12 +131,13 @@ class Synthesizer:
             cegis=self.cegis,
         )
         self.candidates_checked = 0
-        # Candidates skipped by the head check (TypeChecker.can_afford).  They
-        # count in candidates_checked, so max_candidates caps the same search.
+        # Candidates skipped by the head check (TypeChecker.can_afford) or the
+        # prefix rule.  They count in candidates_checked, so max_candidates
+        # caps the same search.
         self.eager_rejections = 0
-        self._head_check = (
-            self.config.checker.resource_aware and not self.config.enumerate_and_check
-        )
+        # The head check and the prefix rule (see _solutions) run only in the
+        # resource-aware modes that check candidates as they are enumerated.
+        self._eager = self.config.checker.resource_aware and not self.config.enumerate_and_check
         self._deadline: Optional[float] = None
         self._fresh = itertools.count()
         # PBE front-end state (both None/empty for plain goals, so the paper's
@@ -319,13 +323,18 @@ class Synthesizer:
             yield s.Impossible()
             return
 
-        # 1. E-terms (Syn-Atom / atomic synthesis).  Head check verdicts are
-        # per hole: the same callee is affordable or not in every candidate.
+        # 1. E-terms (Syn-Atom / atomic synthesis).  Head check verdicts and
+        # failed argument prefixes are per hole: both hold for every
+        # candidate of the hole.
         verdicts: Dict[str, bool] = {}
+        failed: Set[Tuple[str, Tuple[s.Expr, ...]]] = set()
         for candidate in self._eterm_candidates(ctx, goal.base):
             self._check_time()
             self.candidates_checked += 1
-            if self._head_check and not self._affordable(ctx, candidate, verdicts):
+            if self._eager and (
+                not self._affordable(ctx, candidate, verdicts)
+                or _has_failed_prefix(candidate, failed)
+            ):
                 self.eager_rejections += 1
                 continue
             marker = self.store.push()
@@ -337,6 +346,8 @@ class Synthesizer:
                     sp.set(term=str(candidate), accepted=accepted)
             if accepted:
                 yield candidate
+            elif self._eager:
+                self._remember_failed_prefix(candidate, failed)
             self._pop(marker)
 
         # 2. Conditionals (Syn-Cond).
@@ -346,6 +357,14 @@ class Synthesizer:
         # 3. Pattern matches (Syn-MatL).
         if match_depth > 0:
             yield from self._match_solutions(ctx, goal, match_depth, cond_depth)
+
+    def _remember_failed_prefix(
+        self, candidate: s.Expr, failed: Set[Tuple[str, Tuple[s.Expr, ...]]]
+    ) -> None:
+        """Record the argument prefix that made the checker reject ``candidate``."""
+        length = self.checker.rejected_prefix
+        if length and isinstance(candidate, s.App):
+            failed.add((candidate.func, candidate.args[:length]))
 
     def _affordable(self, ctx: Context, expr: s.Expr, verdicts: Dict[str, bool]) -> bool:
         """Whether ``ctx`` can pay for every application in ``expr``'s tree."""
@@ -522,6 +541,14 @@ class Synthesizer:
         if result_is_container:
             return type(result) is type(goal)
         return base_compatible(result, goal)
+
+
+def _has_failed_prefix(candidate: s.Expr, failed: Set[Tuple[str, Tuple[s.Expr, ...]]]) -> bool:
+    """Whether ``candidate`` applies a callee to an argument prefix that failed."""
+    if not failed or not isinstance(candidate, s.App):
+        return False
+    args = candidate.args
+    return any((candidate.func, args[:length]) in failed for length in range(1, len(args) + 1))
 
 
 # ---------------------------------------------------------------------------

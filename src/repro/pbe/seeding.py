@@ -15,7 +15,8 @@ The mapping mirrors what the verifier's own models contain
 (:meth:`CegisSolver._find_counterexample` builds ``Example(dict(model.ints))``):
 
 * a numeric scalar parameter ``x`` with value ``v`` becomes ``{"x": v}``
-  (keyed by variable *name*, matching ``_substitute_values``);
+  (keyed by variable *name*, as in the grounding's linear forms,
+  :func:`repro.constraints.cegis.linear_form`);
 * a list parameter ``xs`` becomes ``{len(xs): <length>}`` keyed by the
   interned measure term ``t.len_(Var(xs, DATA))`` — the same term shape the
   typing layer puts into constraints, so grounding hits it by term equality;

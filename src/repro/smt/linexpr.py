@@ -75,6 +75,15 @@ class LinExpr:
     const_num: int = 0
     den: int = 1
 
+    def __hash__(self) -> int:
+        # Computed once per instance: the feasibility cache and the CEGIS
+        # row set hash the same expressions many times.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.nums, self.const_num, self.den))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @staticmethod
     def from_dict(coeffs: Mapping[Key, Fraction | int], constant: Fraction | int = 0) -> "LinExpr":
         """Build a normalized expression, dropping zero coefficients."""

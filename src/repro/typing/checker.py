@@ -115,6 +115,10 @@ class TypeChecker:
             else CegisSolver(self.solver, incremental=self.config.incremental_cegis)
         )
         self.stats = CheckerStats()
+        #: After :meth:`check_eterm` rejects an application ``f a1 ... an``
+        #: while checking argument ``ai``: ``i`` (see :meth:`_infer_app`).
+        #: ``None`` when it rejected elsewhere, or accepted.
+        self.rejected_prefix: Optional[int] = None
         self._components_release = any(
             _releases_potential(schema.body, schema.tvars) for schema in schemas.values()
         )
@@ -217,7 +221,11 @@ class TypeChecker:
     def check_eterm(self, ctx: Context, expr: s.Expr, goal: RType) -> Optional[Context]:
         """Check an E-term (atom or application) against the goal type."""
         self.stats.eterm_checks += 1
-        inferred = self.infer(ctx, expr)
+        self.rejected_prefix = None
+        if isinstance(expr, s.App):
+            inferred = self._infer_app(ctx, expr, outermost=True)
+        else:
+            inferred = self.infer(ctx, expr)
         if inferred is None:
             return None
         rtype, new_ctx = inferred
@@ -315,7 +323,23 @@ class TypeChecker:
             return None
         return body, schema.tvars
 
-    def _infer_app(self, ctx: Context, expr: s.App) -> Optional[Tuple[RType, Context]]:
+    def _infer_app(
+        self, ctx: Context, expr: s.App, outermost: bool = False
+    ) -> Optional[Tuple[RType, Context]]:
+        """Infer an application; ``outermost`` marks the E-term under check.
+
+        If the outermost application fails while checking argument ``ai``,
+        :attr:`rejected_prefix` becomes ``i``: any application of the same
+        callee to ``a1 ... ai`` fails there too in the same context, because
+        those checks see the same context and parameter types (a type
+        variable's base comes from the first argument whose parameter
+        mentions it, and instantiation issues only the callee's
+        well-formedness constraints).  Nothing is recorded when peeking at
+        the arguments issued a resource constraint, nor for failures of the
+        cost payment, the termination check or the result subtyping.  Like
+        the head check, this assumes CEGIS reaches the same verdict on the
+        same constraints whatever examples it has gathered.
+        """
         resolved = self._resolve_callee(ctx, expr.func)
         if resolved is None:
             return None
@@ -324,28 +348,30 @@ class TypeChecker:
         if len(params) != len(expr.args):
             return None
         if tvars:
+            issued = self.stats.resource_constraints
             instantiation = self._instantiate_tvars(ctx, tvars, params, expr.args)
+            wellformedness = sum(1 for rtype in instantiation.values() if rtype.potential != t.ZERO)
+            outermost = outermost and self.stats.resource_constraints - issued == wellformedness
             schema = TypeSchema(tvars, arrow)
             arrow = instantiate_schema(schema, instantiation)  # type: ignore[arg-type]
             assert isinstance(arrow, ArrowType)
             params = arrow.params()
 
         subst: Dict[str, Term] = {}
-        interps: List[Optional[Term]] = []
         current = ctx
-        for (pname, ptype), arg in zip(params, expr.args):
+        for position, ((pname, ptype), arg) in enumerate(zip(params, expr.args), 1):
             expected = substitute_in_type(ptype, subst)
             if isinstance(expected, ArrowType):
-                if not self._check_function_arg(current, arg, expected):
-                    return None
-                interps.append(None)
-                continue
-            checked = self._check_scalar_arg(current, arg, expected)
+                if self._check_function_arg(current, arg, expected):
+                    continue
+                checked = None
+            else:
+                checked = self._check_scalar_arg(current, arg, expected)
             if checked is None:
+                if outermost:
+                    self.rejected_prefix = position
                 return None
-            interp, current = checked
-            subst[pname] = interp
-            interps.append(interp)
+            subst[pname], current = checked
 
         cost = arrow.total_cost()
         if cost and self.config.resource_aware:
@@ -412,7 +438,13 @@ class TypeChecker:
         return instantiation
 
     def _peek_type(self, ctx: Context, arg: s.Expr) -> Optional[RType]:
-        """A cheap, side-effect-free look at an argument's type."""
+        """A cheap look at an argument's type, to pick type-variable bases.
+
+        It has side effects for ``Nil``/``Cons`` arguments: their type comes
+        from :meth:`infer`, which may pay costs, issue resource constraints
+        and run CEGIS (for instance for a ``Cons`` whose head applies a
+        costly component).
+        """
         if isinstance(arg, s.Var):
             return ctx.lookup(arg.name)
         if isinstance(arg, s.IntLit):
