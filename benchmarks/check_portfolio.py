@@ -33,10 +33,10 @@ if SRC not in sys.path:
 
 def run_suite(spec: dict, workers: int) -> dict:
     """One cold run; returns {tag: (winner, program, raced, cancelled)}."""
-    from repro.portfolio.runner import PortfolioRunner
+    from repro.service.scheduler import BatchScheduler
     from repro.service.specs import jobs_from_spec
 
-    runner = PortfolioRunner(workers=workers)
+    runner = BatchScheduler(workers=workers)
     outcomes = {}
     for result in runner.run(jobs_from_spec(spec)):
         stats_block = (result.record or {}).get("stats", {}).get("portfolio", {})

@@ -4,6 +4,8 @@ Boots a real :class:`repro.service.serve.SynthesisServer` (resident warm
 workers + sharded cache + HTTP front-end) in this process, then drives it
 over actual HTTP the way a client would, asserting:
 
+* **hostile requests** — a non-numeric ``timeout`` (on the job or in its
+  config) and a malformed goal each get 400, and ``/healthz`` still answers;
 * **cold pass** — the spec's jobs all succeed through ``POST /jobs``, nothing
   is served from the cache, and the resident workers prove state reuse
   (``warm_state.reused_jobs > 0``: some worker's job N>1 started with the
@@ -31,26 +33,27 @@ import os
 import sys
 
 
-def post_jobs(host: str, port: int, payload: dict, timeout: float = 600.0) -> list:
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+def request(handle, method: str, path: str, payload=None, timeout: float = 600.0):
+    """One HTTP exchange with the server; returns ``(status, body bytes)``."""
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=timeout)
     try:
-        conn.request("POST", "/jobs", body=json.dumps(payload).encode())
+        body = json.dumps(payload).encode() if payload is not None else None
+        conn.request(method, path, body=body)
         response = conn.getresponse()
-        raw = response.read()
-        if response.status != 200:
-            raise SystemExit(f"POST /jobs failed: {response.status} {raw!r}")
-        return [json.loads(line) for line in raw.decode().strip().splitlines()]
+        return response.status, response.read()
     finally:
         conn.close()
 
 
-def get_stats(host: str, port: int) -> dict:
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        conn.request("GET", "/stats")
-        return json.loads(conn.getresponse().read())
-    finally:
-        conn.close()
+def post_jobs(handle, payload: dict) -> list:
+    status, raw = request(handle, "POST", "/jobs", payload)
+    if status != 200:
+        raise SystemExit(f"POST /jobs failed: {status} {raw!r}")
+    return [json.loads(line) for line in raw.decode().strip().splitlines()]
+
+
+def get_stats(handle) -> dict:
+    return json.loads(request(handle, "GET", "/stats", timeout=30)[1])
 
 
 def results_by_tag(events: list) -> dict:
@@ -67,12 +70,30 @@ def check(condition: bool, message: str) -> None:
 
 
 def run_pass(handle, spec: dict, label: str) -> dict:
-    events = post_jobs(handle.host, handle.port, {"spec": spec})
+    events = post_jobs(handle, {"spec": spec})
     results = results_by_tag(events)
     check(bool(results), f"{label}: no results came back")
     failed = sorted(tag for tag, r in results.items() if not r["ok"])
     check(not failed, f"{label}: jobs failed: {failed}")
     return results
+
+
+def hostile_phase(handle, spec: dict) -> int:
+    """Malformed requests get 400 and leave the server answering; returns their count."""
+    goal = spec["goals"][0]["goal"]
+    payloads = {
+        "job timeout 'soon'": {"jobs": [{"goal": goal, "timeout": "soon"}]},
+        "config timeout 'soon'": {
+            "jobs": [{"goal": goal, "config": {"mode": "resyn", "overrides": {"timeout": "soon"}}}]
+        },
+        "numeric goal": {"jobs": [{"goal": 5}]},
+    }
+    for label, payload in payloads.items():
+        status, raw = request(handle, "POST", "/jobs", payload, timeout=30)
+        check(status == 400, f"hostile phase: {label} answered {status} {raw[:200]!r}")
+        status, _ = request(handle, "GET", "/healthz", timeout=30)
+        check(status == 200, f"hostile phase: /healthz answered {status} after {label}")
+    return len(payloads)
 
 
 def main() -> int:
@@ -95,6 +116,7 @@ def main() -> int:
         cache=ResultCache(os.path.join(args.cache, "warm"), shards=args.shards),
     )
     try:
+        hostile = hostile_phase(handle, spec)
         cold = run_pass(handle, spec, "cold pass")
         check(
             not any(r["cache_hit"] for r in cold.values()),
@@ -107,7 +129,7 @@ def main() -> int:
             tag for tag in cold if cold[tag]["program"] != warm[tag]["program"]
         )
         check(not drifted, f"warm pass: cached programs drifted: {drifted}")
-        stats = get_stats(handle.host, handle.port)
+        stats = get_stats(handle)
     finally:
         handle.stop()
 
@@ -166,6 +188,7 @@ def main() -> int:
     print(f"| cache shards | {cache['shards']} ({cache['entries']} entries) |")
     print(f"| cache hit rate | {cache['cache_hit_rate']:.3f} |")
     print(f"| REPRO_WARM=off byte-identity | {len(ab)}/{len(ab)} programs identical |")
+    print(f"| hostile requests | {hostile}/{hostile} answered 400, /healthz 200 after each |")
     print("\nPer-shard entries: ", end="")
     print(", ".join(f"{s['shard']}: {s['entries']}" for s in cache["per_shard"]))
     print("\nserve-smoke OK")

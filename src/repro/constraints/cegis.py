@@ -211,8 +211,6 @@ class CegisSolver:
         #: satisfiable (``None``: undecided).  Grounding and
         #: :meth:`_is_violated` share it, and it outlives :meth:`reset`.
         self._guard_cache: Dict[Tuple[Term, frozenset], Optional[bool]] = {}
-        #: (expr, relevant coefficient values) -> instantiated expr.
-        self._inst_cache: Dict[Tuple[Term, Tuple[Tuple[str, int], ...]], Term] = {}
 
     # -- public API -------------------------------------------------------
     def cache_report(self) -> Dict[str, float]:
@@ -254,8 +252,6 @@ class CegisSolver:
         self.solution = {}
         self.examples = list(self._seed_examples)
         self._ground_cache.clear()
-        if len(self._inst_cache) > (1 << 14):
-            self._inst_cache.clear()
         if len(self._guard_cache) > (1 << 16):
             self._guard_cache.clear()
 
@@ -323,23 +319,11 @@ class CegisSolver:
             return example, violated
         return None
 
-    def _instantiated_expr(self, rc: ResourceConstraint, solution: Dict[str, int]) -> Term:
-        """``rc.expr`` with the current coefficient values plugged in.
-
-        Keyed on the values of the coefficients that actually occur in the
-        constraint, so unrelated solution updates do not invalidate entries.
-        """
-        names = coefficients_in(rc.expr)
-        items = tuple(sorted((name, int(solution.get(name, 0))) for name in names))
-        key = (rc.expr, items)
-        cached = self._inst_cache.get(key)
-        if cached is None:
-            cached = t.substitute(rc.expr, {name: t.IntConst(v) for name, v in items})
-            self._inst_cache[key] = cached
-        return cached
-
     def _violation_query(self, rc: ResourceConstraint, solution: Dict[str, int]) -> Term:
-        instantiated = self._instantiated_expr(rc, solution)
+        # ``t.substitute`` memoizes on (expr, relevant coefficient values).
+        instantiated = t.substitute(
+            rc.expr, {name: t.IntConst(solution.get(name, 0)) for name in coefficients_in(rc.expr)}
+        )
         if rc.equality:
             violation = t.disj(instantiated < 0, instantiated > 0)
         else:

@@ -7,7 +7,7 @@ See :mod:`repro.portfolio.bounds` for ladder compilation,
 """
 
 from repro.portfolio.bounds import Rung, compile_ladder, rung_label
-from repro.portfolio.runner import PortfolioRunner, is_portfolio_job, portfolio_enabled
+from repro.portfolio.runner import is_portfolio_job, portfolio_enabled
 from repro.portfolio.variants import (
     Variant,
     component_variants,
@@ -18,7 +18,6 @@ from repro.portfolio.variants import (
 )
 
 __all__ = [
-    "PortfolioRunner",
     "Rung",
     "Variant",
     "compile_ladder",

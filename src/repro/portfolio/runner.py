@@ -30,9 +30,6 @@ winner index) under the *logical* goal's fingerprint; how the race actually
 unfolded — per-variant outcomes, cancellations, wall-clock — is
 timing-dependent and rides on :attr:`JobResult.portfolio`, which is never
 cached (like the queue/run timings and the warm block).
-
-:data:`PortfolioRunner` is the historical name of the scheduler that runs
-such goals; it is :class:`~repro.service.scheduler.BatchScheduler` itself.
 """
 
 from __future__ import annotations
@@ -41,14 +38,11 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.portfolio.variants import Variant, expand_goal
-from repro.service.scheduler import BatchScheduler, Job, JobResult, job_for_goal
+from repro.service.scheduler import Job, JobResult, job_for_goal
 
 #: Environment gate for portfolio racing (default on).
 PORTFOLIO_ENV = "REPRO_PORTFOLIO"
 _OFF_VALUES = {"0", "off", "no", "false"}
-
-#: Plain and asymptotic jobs share one scheduler.
-PortfolioRunner = BatchScheduler
 
 
 def portfolio_enabled() -> bool:

@@ -24,7 +24,7 @@ queue-wait/run-time split and per-worker utilization.
 an HTTP front-end (``POST /jobs`` streaming NDJSON progress, ``GET /stats``,
 ``POST /shutdown``) — plus newline-delimited JSON over stdin with ``--stdio``
 — dispatching onto a resident worker pool whose workers keep warm solver
-state between jobs (disable with ``--cold`` or ``REPRO_WARM=off``).
+state between jobs (disable with ``REPRO_WARM=off``).
 ``--shards N`` creates the result cache with N shards by fingerprint prefix
 (default 1); an existing cache keeps the count pinned at its creation.
 """
@@ -213,7 +213,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stdio=args.stdio,
         retries=args.retries,
         grace=args.hard_timeout,
-        warm_workers=args.warm,
         **extra,
     )
     return 0
@@ -389,13 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "429 with a Retry-After hint (default 256)"
         ),
     )
-    serve.add_argument(
-        "--cold",
-        dest="warm",
-        action="store_false",
-        help="disable warm solver reuse across jobs (same as REPRO_WARM=off)",
-    )
-    serve.set_defaults(func=_cmd_serve, warm=True)
+    serve.set_defaults(func=_cmd_serve)
 
     export = commands.add_parser("export", help="export benchmark tables as spec files")
     export.add_argument(

@@ -536,7 +536,7 @@ def config_to_json(config: SynthesisConfig) -> dict:
 #: they change how a job is *executed* (and would poison fingerprints/cache
 #: keys if encoded), not what it computes.  They belong on the scheduler
 #: (``BatchScheduler(retries=, grace=)``) or the job (``Job.retries``).
-_SERVICE_POLICY_FIELDS = ("retries", "grace", "hard_timeout", "backoff_base", "backoff_cap")
+_SERVICE_POLICY_FIELDS = ("retries", "grace", "hard_timeout")
 
 
 def config_from_json(data: dict) -> SynthesisConfig:

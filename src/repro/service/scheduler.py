@@ -32,6 +32,7 @@ kill.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -112,8 +113,19 @@ def job_for_goal(
     timeout: Optional[float] = None,
     retries: Optional[int] = None,
 ) -> Job:
-    """Package a goal + configuration as a schedulable, cache-addressable job."""
+    """Package a goal + configuration as a schedulable, cache-addressable job.
+
+    Raises :class:`ValueError` when ``timeout`` (here or on ``config``) is not
+    a finite non-negative number or ``retries`` not a non-negative integer:
+    the supervisor computes deadlines and retry budgets from them.
+    """
     config = config or SynthesisConfig.resyn()
+    for value in (timeout, config.timeout):
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if value is not None and not (numeric and 0 <= value < math.inf):
+            raise ValueError(f"'timeout' must be a non-negative number of seconds, got {value!r}")
+    if retries is not None and (type(retries) is not int or retries < 0):
+        raise ValueError(f"'retries' must be a non-negative integer, got {retries!r}")
     return Job(
         goal_json=goal_to_json(goal),
         config_json=config_to_json(config),
@@ -466,6 +478,8 @@ class WorkerPool:
         if size < 1:
             raise ValueError("pool size must be positive")
         if ctx is None:
+            # fork is dramatically cheaper (no re-import per worker) and the
+            # synthesis pipeline is single-threaded, so it is safe here.
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
             ctx = multiprocessing.get_context(method)
         self.size = size
@@ -666,8 +680,6 @@ class BatchScheduler:
         start_method: Optional[str] = None,
         retries: int = DEFAULT_RETRIES,
         grace: float = DEFAULT_GRACE,
-        backoff_base: float = BACKOFF_BASE,
-        backoff_cap: float = BACKOFF_CAP,
         warm: bool = False,
     ) -> None:
         if workers < 0:
@@ -680,17 +692,12 @@ class BatchScheduler:
         self.cache = cache
         self.retries = retries
         self.grace = grace
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Ask workers to reuse a resident solver across jobs (REPRO_WARM=off
         #: in the worker environment vetoes it).  Off by default so batch runs
         #: keep their historical cold-start counters byte-identical.
         self.warm = warm
-        if start_method is None:
-            # fork is dramatically cheaper (no re-import per worker) and the
-            # synthesis pipeline is single-threaded, so it is safe here.
-            start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        self._ctx = multiprocessing.get_context(start_method)
+        #: None lets the pool pick its default start method.
+        self._ctx = multiprocessing.get_context(start_method) if start_method else None
         self.stats = SchedulerStats()
         self._cancelled = False
 
@@ -718,8 +725,6 @@ class BatchScheduler:
             workers=self.workers,
             cache=self.cache,
             retries=self.retries,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
             warm=self.warm,
         )
         groups = [supervisor.submit(job, seq=index) for index, job in enumerate(jobs)]

@@ -53,8 +53,6 @@ from repro.obs import metrics, trace
 from repro.service import warm
 from repro.service.codec import CodecError, config_from_wire, goal_from_json
 from repro.service.scheduler import (
-    BACKOFF_BASE,
-    BACKOFF_CAP,
     DEFAULT_GRACE,
     DEFAULT_RETRIES,
     Job,
@@ -123,8 +121,18 @@ def jobs_from_wire(data: dict) -> List[Job]:
     Two shapes: ``{"jobs": [{"goal": ..., "config"?, "tag"?, "timeout"?,
     "retries"?}]}`` for explicit goals, or ``{"spec": <resyn-goals/1>,
     "modes"?, "include_slow"?, "timeout"?, "retries"?}`` to expand a
-    declarative spec server-side.
+    declarative spec server-side.  Any malformed payload raises
+    :class:`CodecError`, so front-ends answer it with one clean error.
     """
+    try:
+        return _decode_jobs(data)
+    except CodecError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise CodecError(f"malformed job payload: {type(exc).__name__}: {exc}") from None
+
+
+def _decode_jobs(data: dict) -> List[Job]:
     if not isinstance(data, dict):
         raise CodecError("request body must be a JSON object")
     if "spec" in data:
@@ -165,10 +173,6 @@ class SynthesisServer:
         cache=None,
         retries: int = DEFAULT_RETRIES,
         grace: float = DEFAULT_GRACE,
-        backoff_base: float = BACKOFF_BASE,
-        backoff_cap: float = BACKOFF_CAP,
-        warm_workers: bool = True,
-        start_method: Optional[str] = None,
         max_pending: int = DEFAULT_MAX_PENDING,
     ) -> None:
         if workers < 1:
@@ -178,11 +182,6 @@ class SynthesisServer:
         self.workers = workers
         self.cache = cache
         self.grace = grace
-        #: Warm execution is the server's default; REPRO_WARM=off in the
-        #: environment (inherited by forked workers) is the escape hatch the
-        #: byte-identity A/B guard uses.
-        self.warm_workers = warm_workers
-        self._start_method = start_method
         self.stats = SchedulerStats(workers=workers)
         self.started_at: Optional[float] = None
         self._pool: Optional[WorkerPool] = None
@@ -193,9 +192,10 @@ class SynthesisServer:
             workers=workers,
             cache=cache,
             retries=retries,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-            warm=warm_workers,
+            # Warm execution is the server's default; REPRO_WARM=off in the
+            # environment (inherited by forked workers) is the escape hatch
+            # the byte-identity A/B guard uses.
+            warm=True,
             on_finish=self._finished,
         )
         self._thread: Optional[threading.Thread] = None
@@ -214,15 +214,7 @@ class SynthesisServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "SynthesisServer":
-        import multiprocessing
-
-        ctx = multiprocessing.get_context(
-            self._start_method
-            or ("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-        )
-        self._pool = self._supervisor.pool = WorkerPool(
-            size=self.workers, ctx=ctx, grace=self.grace
-        )
+        self._pool = self._supervisor.pool = WorkerPool(size=self.workers, grace=self.grace)
         if self._pool.start() == 0:
             # No worker could spawn: stay up, run jobs inline (degraded).
             self.stats.degraded_serial = 1
@@ -233,7 +225,7 @@ class SynthesisServer:
         )
         self._thread.start()
         metrics.REGISTRY.counter("serve.starts").inc()
-        trace.event("serve.start", workers=self.workers, warm=self.warm_workers)
+        trace.event("serve.start", workers=self.workers, warm=warm.env_allows())
         return self
 
     def shutdown(self, drain: bool = True, timeout: float = 60.0) -> None:
@@ -305,7 +297,7 @@ class SynthesisServer:
                 "workers_live": pool.live_count if pool is not None else 0,
                 "queue_depth": supervisor.queue_depth,
                 "active_jobs": pool.active_count if pool is not None else 0,
-                "warm": bool(self.warm_workers and warm.env_allows()),
+                "warm": warm.env_allows(),
                 "draining": self._draining,
                 "poison_fingerprints": supervisor.poisoned_fingerprints(),
                 "admission": {
@@ -518,7 +510,7 @@ async def _handle_connection(
         elif method == "POST" and path == "/jobs":
             try:
                 jobs = jobs_from_wire(json.loads(body or b"{}"))
-            except (json.JSONDecodeError, CodecError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, CodecError) as exc:
                 writer.write(_http_response("400 Bad Request", {"error": str(exc)}))
             else:
                 try:
@@ -674,10 +666,6 @@ class ServerHandle:
         if not self._ready.wait(30.0):
             raise RuntimeError("server failed to start within 30s")
         return self
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
         """Idempotent: trigger loop shutdown and wait for it to finish."""

@@ -134,9 +134,6 @@ def validate_spec(spec: dict) -> None:
         seen.add(key)
         if "goal" not in entry:
             raise CodecError(f"goal {key!r} is missing its 'goal' payload")
-        retries = entry.get("retries")
-        if retries is not None and (not isinstance(retries, int) or retries < 0):
-            raise CodecError(f"goal {key!r}: 'retries' must be a non-negative integer")
 
 
 def _unknown_field_message(key, field_name: str) -> str:
@@ -174,28 +171,28 @@ def jobs_from_spec(
             continue
         try:
             goal = goal_from_json(entry["goal"])
-        except CodecError as err:
+            overrides = dict(entry.get("config") or {})
+            entry_modes = list(modes if modes is not None else entry.get("modes") or ["resyn"])
+            entry_retries = entry.get("retries", retries)
+            for mode in entry_modes:
+                effective_mode = mode
+                if mode == "resyn" and entry.get("constant_resource"):
+                    effective_mode = "constant_resource"
+                config = config_from_mode(effective_mode, overrides)
+                jobs.append(
+                    job_for_goal(
+                        goal,
+                        config,
+                        tag=f"{entry['key']}/{mode}",
+                        timeout=timeout,
+                        retries=entry_retries,
+                    )
+                )
+        except ValueError as err:  # CodecError, or a bad timeout/retries
             # Name the offending entry: a spec file can hold dozens of goals,
             # and "unknown component 'apend'" without the entry key forces a
             # manual hunt through the file.
             raise CodecError(f"goal entry {entry['key']!r}: {err}") from None
-        overrides = dict(entry.get("config") or {})
-        entry_modes = list(modes) if modes is not None else list(entry.get("modes") or ["resyn"])
-        entry_retries = entry.get("retries", retries)
-        for mode in entry_modes:
-            effective_mode = mode
-            if mode == "resyn" and entry.get("constant_resource"):
-                effective_mode = "constant_resource"
-            config = config_from_mode(effective_mode, overrides)
-            jobs.append(
-                job_for_goal(
-                    goal,
-                    config,
-                    tag=f"{entry['key']}/{mode}",
-                    timeout=timeout,
-                    retries=entry_retries,
-                )
-            )
     return jobs
 
 

@@ -116,16 +116,12 @@ class Supervisor:
         workers: int = 1,
         cache=None,
         retries: int = DEFAULT_RETRIES,
-        backoff_base: float = BACKOFF_BASE,
-        backoff_cap: float = BACKOFF_CAP,
         warm: bool = False,
         on_finish: Optional[Callable[[Group], None]] = None,
     ) -> None:
         self.stats = stats
         self.cache = cache
         self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         #: Ask workers to reuse a resident solver (REPRO_WARM=off vetoes it).
         self.warm = warm
         #: Ladders race when there is more than one worker and the
@@ -393,7 +389,7 @@ class Supervisor:
                     "detail": detail,
                 },
             )
-            delay = min(self.backoff_base * 2 ** (unit.attempts - 1), self.backoff_cap)
+            delay = min(BACKOFF_BASE * 2 ** (unit.attempts - 1), BACKOFF_CAP)
             unit.state = "retry"
             heapq.heappush(self._retry, (time.monotonic() + delay, next(self._tickets), unit))
             return

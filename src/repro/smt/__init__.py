@@ -5,7 +5,7 @@ implementation; see DESIGN.md for the substitution rationale.
 """
 
 from repro.smt.encoder import EncodingError, linearize
-from repro.smt.lia import BudgetExceeded, LIAResult, check_integer_feasible, check_rational_feasible
+from repro.smt.lia import BudgetExceeded, LIAResult, check_integer_feasible
 from repro.smt.linexpr import Constraint, LinExpr, int_form
 from repro.smt.solver import (
     Model,
@@ -25,7 +25,6 @@ __all__ = [
     "BudgetExceeded",
     "LIAResult",
     "check_integer_feasible",
-    "check_rational_feasible",
     "Constraint",
     "LinExpr",
     "Model",

@@ -16,12 +16,12 @@ overflow-safe by construction):
    :class:`~repro.smt.linexpr.LinExpr` representation this is a trivial
    accessor (one GCD pass over the stored numerators, memoized per
    instance);
-2. rational feasibility by Fourier–Motzkin elimination over integer rows.
-   In integer mode each derived row is *tightened*: after dividing the
-   variable coefficients by their GCD ``g``, the constant is rounded to
-   ``ceil(c0 / g)`` — sound for integer solutions (it never removes an
-   integer point) and strictly stronger than the rational projection, so
-   branch-and-bound sees fewer fractional vertices;
+2. Fourier–Motzkin elimination over integer rows.  Each derived row is
+   *tightened*: after dividing the variable coefficients by their GCD ``g``,
+   the constant is rounded to ``ceil(c0 / g)`` — sound for integer
+   solutions (it never removes an integer point) and strictly stronger than
+   the rational projection, so branch-and-bound sees fewer fractional
+   vertices;
 3. a rational sample point by back-substitution through the recorded
    intermediate systems (off the hot path; this is the only place the module
    still touches :class:`fractions.Fraction`);
@@ -201,19 +201,6 @@ def _store(key: object, entry: "_Entry") -> None:
     _CACHE[key] = entry
 
 
-def check_rational_feasible(constraints: Sequence[Constraint], budget: int = 4000) -> bool:
-    """Decide rational feasibility only (used by tests and heuristics).
-
-    Runs the same integer-row elimination but *without* the integral
-    tightening of derived constants, so the answer is exact over the
-    rationals.
-    """
-    exprs = tuple(dict.fromkeys(c.expr for c in constraints))
-    system = _System(exprs)
-    sample, _ = system.rational_sample(budget, tighten=False)
-    return sample is not None
-
-
 # ---------------------------------------------------------------------------
 # Core engine: integer rows with provenance bitmasks
 # ---------------------------------------------------------------------------
@@ -278,7 +265,7 @@ class _System:
         if depth <= 0:
             return None, None
         rows = self.rows if extra is None else self.rows + extra
-        sample, conflict_mask = self._rational_sample_rows(rows, budget, tighten=True)
+        sample, conflict_mask = self._rational_sample_rows(rows, budget)
         if sample is None:
             return None, conflict_mask
         branch_var = -1
@@ -302,14 +289,9 @@ class _System:
             return None, None
         return None, below_mask | above_mask
 
-    def rational_sample(
-        self, budget: int, tighten: bool
-    ) -> Tuple[Optional[List[Fraction]], Optional[int]]:
-        return self._rational_sample_rows(self.rows, budget, tighten)
-
     # -- rational relaxation: Fourier-Motzkin over integer rows ----------
     def _rational_sample_rows(
-        self, rows: List[_Row], budget: int, tighten: bool
+        self, rows: List[_Row], budget: int
     ) -> Tuple[Optional[List[Fraction]], Optional[int]]:
         """A per-variable-index sample point, or ``(None, conflict_mask)``."""
         pruned = _prune(rows)
@@ -318,7 +300,7 @@ class _System:
         systems: List[List[_Row]] = [pruned]
         nvars = len(self.variables)
         for vi in range(nvars):
-            eliminated = _eliminate(systems[-1], vi, budget, tighten)
+            eliminated = _eliminate(systems[-1], vi, budget)
             if isinstance(eliminated, int):
                 return None, eliminated
             systems.append(eliminated)
@@ -333,13 +315,13 @@ class _System:
         return values, None  # type: ignore[return-value]
 
 
-def _eliminate(rows: List[_Row], vi: int, budget: int, tighten: bool) -> "List[_Row] | int":
+def _eliminate(rows: List[_Row], vi: int, budget: int) -> "List[_Row] | int":
     """Fourier-Motzkin elimination of variable index ``vi``.
 
     Pure integer arithmetic: each lower/upper pair is combined with the
     positive multipliers that cancel ``vi`` exactly, provenance masks are
-    OR-ed, and the derived row is normalized (and, in integer mode,
-    tightened).  Returns the new row list, or a conflict provenance mask.
+    OR-ed, and the derived row is normalized and tightened.  Returns the new
+    row list, or a conflict provenance mask.
     """
     lower: List[_Row] = []  # coefficient of vi negative: lower bounds
     upper: List[_Row] = []  # coefficient of vi positive: upper bounds
@@ -368,7 +350,7 @@ def _eliminate(rows: List[_Row], vi: int, budget: int, tighten: bool) -> "List[_
                         combined[k] = value
                     elif k in combined:
                         del combined[k]
-            rest.append(_normalize(combined, lconst * b + uconst * a, lprov | uprov, tighten))
+            rest.append(_normalize(combined, lconst * b + uconst * a, lprov | uprov))
     pruned = _prune(rest)
     if isinstance(pruned, int):
         return pruned
@@ -377,32 +359,24 @@ def _eliminate(rows: List[_Row], vi: int, budget: int, tighten: bool) -> "List[_
     return pruned
 
 
-def _normalize(coeffs: Dict[int, int], const: int, prov: int, tighten: bool) -> _Row:
-    """Divide a row by the GCD of its coefficients.
+def _normalize(coeffs: Dict[int, int], const: int, prov: int) -> _Row:
+    """Divide a row by the GCD of its variable coefficients, rounding the constant up.
 
-    In integer mode (``tighten``) only the variable coefficients enter the
-    GCD and the constant is rounded up — ``sum(c_i x_i) <= -c0`` with every
-    ``c_i`` divisible by ``g`` implies ``sum((c_i/g) x_i) <= floor(-c0/g)``
-    for integer ``x`` — which can strengthen the row past its rational
-    shadow.  In rational mode the constant joins the GCD so the division is
-    exact and solution-preserving over the rationals.
+    ``sum(c_i x_i) <= -c0`` with every ``c_i`` divisible by ``g`` implies
+    ``sum((c_i/g) x_i) <= floor(-c0/g)`` for integer ``x``, which can
+    strengthen the row past its rational shadow.
     """
     if not coeffs:
         return coeffs, const, prov
     g = 0
     for c in coeffs.values():
         g = math.gcd(g, c)
-    if not tighten:
-        g = math.gcd(g, const)
     if g > 1:
         coeffs = {k: c // g for k, c in coeffs.items()}
-        if tighten:
-            rounded = -((-const) // g)  # ceil(const / g)
-            if rounded * g != const:
-                stats.tightenings += 1
-            const = rounded
-        else:
-            const //= g
+        rounded = -((-const) // g)  # ceil(const / g)
+        if rounded * g != const:
+            stats.tightenings += 1
+        const = rounded
     return coeffs, const, prov
 
 

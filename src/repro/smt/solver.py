@@ -183,14 +183,6 @@ class Solver:
             self._valid_cache.popitem(last=False)
         return result
 
-    def check_implication(self, antecedent: Term, consequent: Term) -> bool:
-        """Validity of ``antecedent ==> consequent``.
-
-        Implications are interned terms, so the validity LRU keyed on the
-        combined formula doubles as the implication cache.
-        """
-        return self.check_valid(t.implies(antecedent, consequent))
-
     def counters_snapshot(self) -> Dict[str, int]:
         """Raw cumulative per-instance counters (solver + encoder).
 

@@ -90,14 +90,6 @@ class Context:
         new_bindings = tuple((n, rtype if n == name else rt) for n, rt in self.bindings)
         return replace(self, bindings=new_bindings)
 
-    def scalar_vars(self) -> List[Tuple[str, RType]]:
-        """Bindings of integer/Boolean/type-variable type."""
-        return [
-            (name, rtype)
-            for name, rtype in self.bindings
-            if not isinstance(rtype.base, (ListBase, TreeBase))
-        ]
-
     def container_vars(self) -> List[Tuple[str, RType]]:
         """Bindings of list/tree type."""
         return [
@@ -178,10 +170,6 @@ class Context:
                     facts.append(t.SetAll(elem_var, t.elems(var), body))
         facts.extend(self.path)
         return t.conj(*facts)
-
-    def is_inconsistent_hint(self) -> bool:
-        """A cheap syntactic check for an inconsistent path (full check via SMT)."""
-        return any(isinstance(p, t.BoolConst) and not p.value for p in self.path)
 
     def __str__(self) -> str:
         bindings = ", ".join(f"{n}:{rt}" for n, rt in self.bindings)

@@ -22,7 +22,7 @@ constructed (see :mod:`repro.typing.checker`).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.logic import terms as t
 from repro.logic.sorts import BOOL, DATA, INT, Sort
@@ -43,9 +43,6 @@ class BaseType:
     def nu_sort(self) -> Sort:
         """Sort of the value variable for refinements over this base type."""
         raise NotImplementedError
-
-    def is_scalar(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -135,17 +132,8 @@ class RType:
     def with_refinement(self, refinement: Term) -> "RType":
         return replace(self, refinement=refinement)
 
-    def and_refinement(self, extra: Term) -> "RType":
-        return replace(self, refinement=t.conj(self.refinement, extra))
-
     def with_potential(self, potential: Term) -> "RType":
         return replace(self, potential=potential)
-
-    def elem_type(self) -> Optional["RType"]:
-        """The element type when this is a list or tree type."""
-        if isinstance(self.base, (ListBase, TreeBase)):
-            return self.base.elem
-        return None
 
     def with_elem_potential(self, potential: Term) -> "RType":
         """Replace the per-element potential of a list/tree type."""

@@ -7,9 +7,9 @@ oracle is the substitution-based grounding it replaced
 (``tests/cegis_reference.py``): on hypothesis-generated constraints,
 including the shapes that have no linear form (``Ite``, products of two
 coefficient terms, Boolean and set leaves in numeric positions), and on the
-(constraint, example) pairs the portfolio ladders actually ground, both give
-the same rows, the same vacuous ``[]``, the same undecided counts and the
-same violation verdicts.
+(constraint, example) pairs the portfolio ladders and ``insert_fine``
+actually ground, both give the same rows, the same vacuous ``[]``, the same
+undecided counts and the same violation verdicts.
 """
 
 from dataclasses import replace
@@ -22,6 +22,7 @@ from cegis_reference import (
     small_coefficient_model_reference,
     violated_reference,
 )
+from repro.benchsuite.definitions import benchmark_by_key as table_benchmark
 from repro.constraints.cegis import CegisSolver, Example, linear_form
 from repro.constraints.store import ResourceConstraint, fresh_coefficient_var
 from repro.core import SynthesisConfig, Synthesizer
@@ -160,11 +161,8 @@ class TestSmallCoefficients:
 LADDER_RUNGS = (("asym_subset", "O(n)[c=1]"), ("asym_triple", "O(1)[c=1]"))
 
 
-def _recorded(key, label, monkeypatch):
-    """Run one rung; return the grounding and violation calls it made."""
-    bench = benchmark_by_key(key)
-    config = replace(SynthesisConfig.resyn(), **bench.config_overrides)
-    (rung,) = [rung for rung in compile_ladder(bench.goal) if rung.label == label]
+def _recorded(goal, config, monkeypatch):
+    """Synthesize ``goal``; return the grounding and violation calls CEGIS made."""
     groundings, violations = [], []
     ground, is_violated = CegisSolver._ground_constraint_uncached, CegisSolver._is_violated
 
@@ -183,18 +181,39 @@ def _recorded(key, label, monkeypatch):
 
     monkeypatch.setattr(CegisSolver, "_ground_constraint_uncached", record_ground)
     monkeypatch.setattr(CegisSolver, "_is_violated", record_violated)
-    Synthesizer(rung.goal, config).synthesize()
+    Synthesizer(goal, config).synthesize()
     monkeypatch.undo()
     return groundings, violations
 
 
-@pytest.mark.parametrize("key,label", LADDER_RUNGS)
-def test_ladder_pairs_ground_as_by_substitution(key, label, monkeypatch):
-    groundings, violations = _recorded(key, label, monkeypatch)
-    assert groundings and violations
-    assert any(rows for _, _, rows, _ in groundings)
+def _assert_as_by_substitution(groundings, violations):
     solver = Solver()
     for rc, values, rows, undecided in groundings:
         assert (rows, undecided) == ground_reference(solver, rc, values)
     for rc, values, solution, verdict, undecided in violations:
         assert (verdict, undecided) == violated_reference(solver, rc, values, solution)
+
+
+@pytest.mark.parametrize("key,label", LADDER_RUNGS)
+def test_ladder_pairs_ground_as_by_substitution(key, label, monkeypatch):
+    bench = benchmark_by_key(key)
+    config = replace(SynthesisConfig.resyn(), **bench.config_overrides)
+    (rung,) = [rung for rung in compile_ladder(bench.goal) if rung.label == label]
+    groundings, violations = _recorded(rung.goal, config, monkeypatch)
+    assert groundings and violations
+    assert any(rows for _, _, rows, _ in groundings)
+    _assert_as_by_substitution(groundings, violations)
+
+
+@pytest.mark.parametrize("mode", [SynthesisConfig.resyn, SynthesisConfig.resyn_nonincremental])
+def test_insert_fine_reaches_substitution_grounding(mode, monkeypatch):
+    """Expressions without a linear form are live: ``insert_fine``'s element
+    potential ``ite(x > nu, 1, 0)`` leaves an ``Ite`` in constraint
+    expressions such as ``((0 - C) - C) - (if (x > x) then 1 else 0)``, and
+    CEGIS grounds and checks them by term substitution within the first 70
+    candidates."""
+    config = replace(mode(), max_candidates=70)
+    groundings, violations = _recorded(table_benchmark("insert_fine").goal, config, monkeypatch)
+    assert any(isinstance(rc.expr, t.Sub) and linear_form(rc.expr) is None for rc, *_ in groundings)
+    assert any(linear_form(rc.expr) is None for rc, *_ in violations)
+    _assert_as_by_substitution(groundings, violations)

@@ -1,11 +1,9 @@
 """Unit and property tests for the refinement-logic substrate."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logic import terms as t
 from repro.logic.simplify import is_trivially_false, is_trivially_true, simplify
-from repro.logic.sorting import SortEnv, SortError, check_bool, check_potential, sort_of
 from repro.logic.sorts import BOOL, DATA, INT, SET, uninterpreted
 from repro.semantics.refinements import eval_term
 
@@ -152,37 +150,3 @@ class TestSimplify:
         env = {"x": a}
         assert eval_term(term, env) == eval_term(simplify(term), env)
 
-
-class TestSorting:
-    def test_sort_of_arithmetic(self):
-        assert sort_of(x + y) == INT
-        assert sort_of(x < y) == BOOL
-
-    def test_sort_of_measures(self):
-        assert sort_of(t.len_(xs)) == INT
-        assert sort_of(t.elems(xs)) == SET
-        assert sort_of(t.SetMember(x, t.elems(xs))) == BOOL
-
-    def test_check_bool_accepts_refinements(self):
-        check_bool(t.conj(x < y, t.SetMember(x, t.elems(xs))))
-
-    def test_check_bool_rejects_numeric(self):
-        with pytest.raises(SortError):
-            check_bool(x + y)
-
-    def test_check_potential_rejects_bool(self):
-        with pytest.raises(SortError):
-            check_potential(x < y)
-        check_potential(x + 1)
-
-    def test_env_overrides_node_sort(self):
-        env = SortEnv({"x": BOOL})
-        assert sort_of(t.Var("x", INT), env) == BOOL
-
-    def test_measure_arity_mismatch(self):
-        with pytest.raises(SortError):
-            sort_of(t.App("len", (xs, xs)))
-
-    def test_ite_branch_sorts_must_agree(self):
-        with pytest.raises(SortError):
-            sort_of(t.Ite(x < y, x, x < y))

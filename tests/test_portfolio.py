@@ -16,7 +16,6 @@ import pytest
 
 from repro.core import SynthesisConfig
 from repro.portfolio import (
-    PortfolioRunner,
     compile_ladder,
     expand_goal,
     is_portfolio_job,
@@ -26,7 +25,7 @@ from repro.portfolio import (
 )
 from repro.portfolio.suite import asymptotic_benchmarks, asymptotic_spec, benchmark_by_key
 from repro.service import faults
-from repro.service.scheduler import job_for_goal
+from repro.service.scheduler import BatchScheduler, job_for_goal
 from repro.service.specs import jobs_from_spec, load_spec
 
 # Goals cheap enough to race repeatedly (every rung resolves in well under a
@@ -142,7 +141,7 @@ class TestDeterminism:
 
     @pytest.fixture(scope="class")
     def serial_outcome(self):
-        runner = PortfolioRunner(workers=1)
+        runner = BatchScheduler(workers=1)
         return outcome(runner.run(bench_jobs()))
 
     def test_expected_winners_on_serial_ladder(self, serial_outcome):
@@ -152,13 +151,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_racing_matches_serial_byte_for_byte(self, workers, serial_outcome):
-        runner = PortfolioRunner(workers=workers)
+        runner = BatchScheduler(workers=workers)
         assert outcome(runner.run(bench_jobs())) == serial_outcome
 
     def test_gate_off_matches_racing_byte_for_byte(self, serial_outcome, monkeypatch):
         monkeypatch.setenv("REPRO_PORTFOLIO", "off")
         assert not portfolio_enabled()
-        runner = PortfolioRunner(workers=2)
+        runner = BatchScheduler(workers=2)
         results = runner.run(bench_jobs())
         assert outcome(results) == serial_outcome
         # Gate off means a sequential ladder: nothing raced, nothing cancelled.
@@ -168,7 +167,7 @@ class TestDeterminism:
         # Every variant's first attempt dies mid-job; retries recover.  The
         # race outcome (winner rung, program bytes) must be unchanged.
         faults.configure("worker.crash=1.0:once")
-        runner = PortfolioRunner(workers=2)
+        runner = BatchScheduler(workers=2)
         results = runner.run(bench_jobs())
         assert outcome(results) == serial_outcome
         assert runner.stats.retries > 0
@@ -176,7 +175,7 @@ class TestDeterminism:
 
 class TestCancellation:
     def test_losers_are_cancelled_and_workers_reclaimed(self):
-        runner = PortfolioRunner(workers=2)
+        runner = BatchScheduler(workers=2)
         results = runner.run(bench_jobs())
         assert all(result.succeeded for result in results)
         # Races on two workers must have cancelled at least the slack rungs
@@ -199,7 +198,7 @@ class TestCancellation:
 
         jobs = [job_for_goal(tiny_goal(f"plain{i}"), tiny_config()) for i in range(2)]
         jobs += bench_jobs(("asym_length", "asym_triple"))
-        runner = PortfolioRunner(workers=2)
+        runner = BatchScheduler(workers=2)
         real_poll = WorkerPool.poll
         polls = []
 
@@ -225,7 +224,7 @@ class TestCancellation:
         assert not multiprocessing.active_children()
 
     def test_every_variant_is_attributed(self):
-        runner = PortfolioRunner(workers=2)
+        runner = BatchScheduler(workers=2)
         (result,) = runner.run(bench_jobs(("asym_length",)))
         info = result.portfolio
         assert info is not None
@@ -243,9 +242,9 @@ class TestCacheIdentity:
 
         cache = ResultCache(str(tmp_path / "cache"))
         jobs = bench_jobs(("asym_is_empty",))
-        runner = PortfolioRunner(workers=2, cache=cache)
+        runner = BatchScheduler(workers=2, cache=cache)
         (cold,) = runner.run(jobs)
-        warm_runner = PortfolioRunner(workers=2, cache=cache)
+        warm_runner = BatchScheduler(workers=2, cache=cache)
         (warm,) = warm_runner.run(bench_jobs(("asym_is_empty",)))
         assert warm.cache_hit
         assert warm.program_text == cold.program_text
@@ -255,7 +254,7 @@ class TestCacheIdentity:
         from repro.service.cache import ResultCache
 
         cache = ResultCache(str(tmp_path / "cache"))
-        PortfolioRunner(workers=2, cache=cache).run(bench_jobs(("asym_is_empty",)))
+        BatchScheduler(workers=2, cache=cache).run(bench_jobs(("asym_is_empty",)))
         last = cache.telemetry()["last_run"]["scheduler"]
         assert last["jobs"] == 1
         assert last["variants_raced"] >= 1

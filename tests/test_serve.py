@@ -87,6 +87,39 @@ def raw_status(handle, request):
     return int(status_line.split()[1])
 
 
+def malformed_bodies(good):
+    """``POST /jobs`` bodies that must get 400: bad policy values and goal shapes."""
+    return [
+        {"jobs": [dict(good, timeout="soon")]},
+        {"jobs": [dict(good, config={"mode": "resyn", "overrides": {"timeout": "soon"}})]},
+        {"jobs": [dict(good, timeout=-1)]},
+        {"jobs": [dict(good, retries=-1)]},
+        {"jobs": [dict(good, retries=1.5)]},
+        {"spec": export_table_spec("table1"), "timeout": "soon"},
+        {"jobs": [{"goal": 5}]},
+        {"jobs": [dict(good, goal={"name": "g", "schema": []})]},
+    ]
+
+
+def run_stdio_server(stdin_text):
+    """Run ``serve --stdio`` on one worker over ``stdin_text``; its JSON events."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.service", "serve", "--stdio", "-j", "1", "--port", "0"],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    return [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
+
+
 def assert_healthy(handle):
     status, body = get_json(handle, "/healthz")
     assert status == 200 and body == {"ok": True}
@@ -213,10 +246,16 @@ class TestHTTP:
         assert result["ok"] and result["tag"] == "t1_is_empty/resyn"
 
     def test_bad_requests_get_400(self, warm_server):
-        for body in ({}, {"jobs": []}, {"jobs": [{"nope": 1}]}, {"spec": {"format": "?"}}):
-            status, raw = post_json(warm_server, "/jobs", body)
+        good = job_entry("after400")
+        shapes = [{}, {"jobs": []}, {"jobs": [{"nope": 1}]}, {"spec": {"format": "?"}}]
+        for body in shapes + malformed_bodies(good):
+            status, raw = post_json(warm_server, "/jobs", body, timeout=30)
             assert status == 400, (body, raw)
             assert "error" in json.loads(raw)
+            assert_healthy(warm_server)
+        # The supervisor thread survived every one of them.
+        (result,) = results_of(post_jobs(warm_server, [good], timeout=60))
+        assert result["ok"]
 
     def test_unknown_route_404(self, warm_server):
         status, body = get_json(warm_server, "/no-such-route")
@@ -288,22 +327,36 @@ class TestHTTP:
         with pytest.raises(CodecError):
             jobs_from_wire({"jobs": "nope"})
 
-    def test_stdio_non_object_line_gets_an_error_event(self):
-        import os
-        import subprocess
-        import sys
+    def test_malformed_payloads_raise_only_codec_errors(self):
+        from repro.service.codec import CodecError
 
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.service", "serve", "--stdio", "-j", "1", "--port", "0"],
-            input='[1]\n{"op": "stats"}\n',
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-            check=True,
-        )
-        events = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
+        good = job_entry("wire0")
+        numeric_refinement = json.loads(json.dumps(good["goal"]))
+        numeric_refinement["schema"]["body"]["result"]["refinement"] = 5
+        for body in malformed_bodies(good) + [
+            {"jobs": [dict(good, goal=numeric_refinement)]},
+            {"jobs": [dict(good, timeout=float("nan"))]},
+            {"jobs": [dict(good, retries=True)]},
+            {"jobs": [dict(good, config={"mode": "resyn", "overrides": 5})]},
+            {"spec": 5},
+            {"spec": export_table_spec("table1"), "retries": "2"},
+        ]:
+            with pytest.raises(CodecError):
+                jobs_from_wire(body)
+
+    def test_stdio_malformed_submit_gets_an_error_event_and_the_loop_lives(self):
+        good = job_entry("stdio0")
+        lines = [json.dumps(dict(body, op="submit")) for body in malformed_bodies(good)]
+        lines += [json.dumps({"op": "submit", "jobs": [good]}), json.dumps({"op": "stats"})]
+        events = run_stdio_server("\n".join(lines) + "\n")
+        kinds = [event["event"] for event in events]
+        assert kinds[: len(lines) - 2] == ["error"] * (len(lines) - 2), kinds
+        assert "stats" in kinds
+        (result,) = [event for event in events if event["event"] == "result"]
+        assert result["ok"] and result["tag"] == "stdio0"
+
+    def test_stdio_non_object_line_gets_an_error_event(self):
+        events = run_stdio_server('[1]\n{"op": "stats"}\n')
         assert [event["event"] for event in events] == ["error", "stats"]
 
 
