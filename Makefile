@@ -5,11 +5,21 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench-quick check-regression bench-table1 bench-table2 specs service-smoke serve-smoke chaos-smoke pbe-smoke portfolio-smoke profile
+.PHONY: test test-slow lint bench-quick check-regression bench-table1 bench-table2 specs service-smoke serve-smoke chaos-smoke pbe-smoke portfolio-smoke profile
 
 ## Tier-1 verification: the full pytest suite (fails fast).
 test:
 	$(PYTHON) -m pytest -x -q
+
+## The slow-marked tests (heavy Table 2 rows such as insert_fine), each in
+## its own pytest run under a 120 s cap.  `--run-slow` enables them and
+## `-m slow` selects only them.  CI runs this on the reference interpreter.
+test-slow:
+	@tests=$$($(PYTHON) -m pytest --run-slow -m slow --collect-only -q | grep '::'); \
+	test -n "$$tests" || { echo "no slow tests collected"; exit 1; }; \
+	for test in $$tests; do \
+	  timeout 120 $(PYTHON) -m pytest -q --run-slow "$$test" || exit 1; \
+	done
 
 ## Static checks: ruff lint rules + formatting drift (configured in
 ## pyproject.toml).  This is exactly what the CI lint job runs.

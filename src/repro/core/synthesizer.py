@@ -64,6 +64,7 @@ from repro.smt.solver import Solver, theory_counters
 from repro.typing.checker import CheckerConfig, TypeChecker
 from repro.typing.context import Context
 from repro.typing.types import (
+    ANY_SCALAR,
     ArrowType,
     BaseType,
     BoolBase,
@@ -72,8 +73,9 @@ from repro.typing.types import (
     RType,
     TreeBase,
     TypeSchema,
-    TypeVarBase,
     base_compatible,
+    instantiate_schema,
+    is_flexible,
 )
 
 
@@ -140,6 +142,15 @@ class Synthesizer:
         self._eager = self.config.checker.resource_aware and not self.config.enumerate_and_check
         self._deadline: Optional[float] = None
         self._fresh = itertools.count()
+        # Components as the enumerator sees them: the checker instantiates a
+        # component's own type variables per call, so they are flexible here,
+        # while the goal's variables (in the recursive call) stay rigid.
+        self._component_arrows: List[Tuple[str, ArrowType]] = []
+        for component in goal.components:
+            flexible = {name: RType(ANY_SCALAR) for name in component.schema.tvars}
+            body = instantiate_schema(component.schema, flexible)
+            if isinstance(body, ArrowType):
+                self._component_arrows.append((component.name, body))
         # PBE front-end state (both None/empty for plain goals, so the paper's
         # workload pays nothing for the example machinery).
         self._examples = tuple(getattr(goal, "examples", ()) or ())
@@ -481,7 +492,7 @@ class Synthesizer:
         allow_constructors = rule is None or rule.constructors
         if isinstance(base, BoolBase) and allow_literals:
             results.extend([s.BoolLit(True), s.BoolLit(False)])
-        if isinstance(base, (IntBase, TypeVarBase)) and allow_literals:
+        if (isinstance(base, IntBase) or is_flexible(base)) and allow_literals:
             results.append(s.IntLit(0))
         if isinstance(base, ListBase) and allow_constructors:
             results.append(s.Nil())
@@ -504,12 +515,9 @@ class Synthesizer:
         rule = self._grammar.rule_for_base(base) if self._grammar is not None else None
         results: List[s.Expr] = []
         callees: List[Tuple[str, ArrowType]] = []
-        for component in self.goal.components:
-            if rule is not None and not rule.allows_component(component.name):
-                continue
-            body = component.schema.body
-            if isinstance(body, ArrowType):
-                callees.append((component.name, body))
+        for name, body in self._component_arrows:
+            if rule is None or rule.allows_component(name):
+                callees.append((name, body))
         if allow_recursion and ctx.fix is not None and (rule is None or rule.recursion):
             callees.append((ctx.fix.name, ctx.fix.arrow))
         for name, arrow_type in callees:

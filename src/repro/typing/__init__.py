@@ -3,6 +3,7 @@
 from repro.typing.checker import CheckerConfig, CheckerStats, TypeChecker
 from repro.typing.context import Context, FixInfo, var_term
 from repro.typing.types import (
+    ANY_SCALAR,
     ArrowType,
     BaseType,
     BoolBase,
@@ -20,6 +21,7 @@ from repro.typing.types import (
     free_type_vars,
     instantiate_schema,
     int_type,
+    is_flexible,
     list_type,
     monotype,
     nat_type,

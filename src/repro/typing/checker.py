@@ -44,7 +44,9 @@ from repro.smt.encoder import EncodingError
 from repro.smt.solver import Solver, SolverError
 from repro.typing.context import Context, FixInfo, var_term
 from repro.typing.types import (
+    ANY_SCALAR,
     ArrowType,
+    BaseType,
     BoolBase,
     IntBase,
     ListBase,
@@ -57,9 +59,9 @@ from repro.typing.types import (
     base_compatible,
     instantiate_schema,
     int_type,
+    is_flexible,
     list_type,
     substitute_in_type,
-    tvar_type,
 )
 
 
@@ -259,7 +261,7 @@ class TypeChecker:
         if isinstance(expr, s.Nil):
             nu = t.Var(NU_NAME, DATA)
             refinement = t.conj(t.len_(nu).eq(0), t.Eq(t.elems(nu), t.EmptySet()))
-            return list_type(tvar_type("_nil"), refinement, sorted=True), ctx
+            return list_type(RType(ANY_SCALAR), refinement, sorted=True), ctx
         if isinstance(expr, s.Cons):
             return self._infer_cons(ctx, expr)
         if isinstance(expr, s.App):
@@ -292,6 +294,9 @@ class TypeChecker:
         tail_type, ctx = tail
         if not isinstance(tail_type.base, ListBase):
             return None
+        if not base_compatible(head_type.base, tail_type.base.elem.base):
+            self.stats.functional_rejections += 1
+            return None
         tail_interp, ctx = self._interp_or_ghost(ctx, expr.tail, tail_type)
         nu = t.Var(NU_NAME, DATA)
         refinement = t.conj(
@@ -306,6 +311,9 @@ class TypeChecker:
             lower_bound = t.SetAll("_e", t.elems(tail_interp), head_interp < elem_var)
             sorted_flag = self.entails(ctx, lower_bound)
         elem = replace(tail_type.base.elem, potential=t.ZERO)
+        if is_flexible(elem.base):
+            # The tail is built from ``Nil``: the head fixes the element type.
+            elem = RType(head_type.base)
         result = RType(ListBase(elem, sorted_flag), refinement)
         return result, ctx
 
@@ -403,6 +411,24 @@ class TypeChecker:
         trivial; potentials become fresh unknowns (constant, or a full linear
         template over the numeric scope when ``dependent_templates`` is set),
         which is exactly how resource polymorphism feeds the CEGIS solver.
+
+        A variable takes the base of the first argument whose parameter
+        mentions it: the argument's own base, or its element base when the
+        parameter is a container of the variable.  An argument built from
+        ``Nil`` gives :data:`ANY_SCALAR`, so it fits whatever the other
+        arguments are.  Where no argument fixes a base, the variable falls
+        back to ``Int``:
+
+        * the argument's type is unknown (an unbound name, or a ``Nil``/
+          ``Cons`` that does not type), so the argument's own check fails;
+        * the parameter is a scalar ``a`` and the argument a container, or
+          the parameter a container of ``a`` and the argument a scalar, so
+          the argument's own check fails too;
+        * the argument is a container of containers: type variables range
+          over scalars only, so its check fails as well;
+        * no parameter mentions the variable, so only the result does, and
+          the application then has an ``Int`` there.  A rigid goal variable
+          never matches that ``Int``.
         """
         instantiation: Dict[str, RType] = {}
         for (pname, ptype), arg in zip(params, args):
@@ -413,14 +439,7 @@ class TypeChecker:
             for tvar_name, at_elem in candidates:
                 if tvar_name in instantiation or tvar_name not in tvars:
                     continue
-                base = IntBase()
-                if arg_type is not None:
-                    if at_elem and isinstance(arg_type.base, (ListBase, TreeBase)):
-                        base = arg_type.base.elem.base
-                    elif not at_elem:
-                        base = arg_type.base
-                if isinstance(base, (ListBase, TreeBase)):
-                    base = IntBase()
+                base = _tvar_base(arg_type, at_elem)
                 potential: Term = t.ZERO
                 if self.config.resource_aware:
                     if self.config.dependent_templates:
@@ -440,7 +459,10 @@ class TypeChecker:
     def _peek_type(self, ctx: Context, arg: s.Expr) -> Optional[RType]:
         """A cheap look at an argument's type, to pick type-variable bases.
 
-        It has side effects for ``Nil``/``Cons`` arguments: their type comes
+        An application of a polymorphic component gets the component's
+        result type, with the component's own variables instantiated from a
+        look at its arguments.  The look has side effects for ``Nil``/``Cons``
+        arguments, also nested in such an application: their type comes
         from :meth:`infer`, which may pay costs, issue resource constraints
         and run CEGIS (for instance for a ``Cons`` whose head applies a
         costly component).
@@ -458,7 +480,18 @@ class TypeChecker:
             resolved = self._resolve_callee(ctx, arg.func)
             if resolved is None:
                 return None
-            result = resolved[0].final_result()
+            arrow, tvars = resolved
+            result = arrow.final_result()
+            if tvars:
+                # Instantiate the callee's own variables from a look at its
+                # arguments, as _instantiate_tvars would.
+                bases: Dict[str, BaseType] = {}
+                for (_, ptype), inner in zip(arrow.params(), arg.args):
+                    for name, at_elem in _tvar_occurrences(ptype):
+                        if name in tvars and name not in bases:
+                            bases[name] = _tvar_base(self._peek_type(ctx, inner), at_elem)
+                instantiation = {name: RType(bases.get(name, IntBase())) for name in tvars}
+                result = instantiate_schema(TypeSchema(tvars, result), instantiation)
             return result if isinstance(result, RType) else None
         return None
 
@@ -890,6 +923,19 @@ def _releases_potential(body: Type, tvars: Tuple[str, ...]) -> bool:
     if not _is_zero(simplify(result.potential)):
         return True
     return isinstance(result.base, TypeVarBase) and result.base.name in tvars
+
+
+def _tvar_base(arg_type: Optional[RType], at_elem: bool) -> BaseType:
+    """The base a type variable takes from an argument (see ``_instantiate_tvars``)."""
+    base: BaseType = IntBase()
+    if arg_type is not None:
+        if at_elem and isinstance(arg_type.base, (ListBase, TreeBase)):
+            base = arg_type.base.elem.base
+        elif not at_elem:
+            base = arg_type.base
+    if isinstance(base, (ListBase, TreeBase)):
+        return IntBase()
+    return base
 
 
 def _tvar_occurrences(ptype: Type) -> List[Tuple[str, bool]]:

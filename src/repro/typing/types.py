@@ -65,9 +65,17 @@ class IntBase(BaseType):
 
 @dataclass(frozen=True)
 class TypeVarBase(BaseType):
-    """A type variable ``a``.  Its values support equality and ordering only."""
+    """A type variable ``a``.  Its values support equality and ordering only.
+
+    A type variable is *rigid* by default: a goal ``forall a. ...`` is
+    parametric in ``a``, so ``a`` matches only itself (see
+    :func:`base_compatible`).  The one *flexible* variable is
+    :data:`ANY_SCALAR`, which stands for a type the checker instantiates on
+    use and matches any scalar.
+    """
 
     name: str
+    flexible: bool = False
 
     def nu_sort(self) -> Sort:
         # Type-variable values are modelled as integers in the refinement
@@ -76,6 +84,12 @@ class TypeVarBase(BaseType):
 
     def __str__(self) -> str:
         return self.name
+
+
+#: The flexible scalar wildcard.  It is the element type of ``Nil`` and, at
+#: enumeration, the type of a component parameter typed by the component's
+#: own quantified variable; the checker instantiates both on use.
+ANY_SCALAR = TypeVarBase("_", flexible=True)
 
 
 @dataclass(frozen=True)
@@ -357,16 +371,14 @@ def base_compatible(actual: BaseType, expected: BaseType) -> bool:
     """Shape compatibility of base types (ignoring refinements/potentials).
 
     A sorted list may be used where an unsorted list is expected (forgetting
-    the invariant), but not the other way around.  Type variables are
-    compatible with any scalar base (they get instantiated), and integers are
-    compatible with type variables because the surface language instantiates
-    type variables with ordered scalars.
+    the invariant), but not the other way around.  A rigid type variable is
+    compatible only with itself: neither an integer nor another type variable
+    may stand in for it.  The flexible :data:`ANY_SCALAR` is compatible, in
+    both directions, with every *ordered* scalar (Sec. 2.1, footnote 2):
+    integers and type variables, but not Booleans and not containers.
     """
-    if isinstance(expected, TypeVarBase) or isinstance(actual, TypeVarBase):
-        # Type variables range over *ordered* scalars (Sec. 2.1, footnote 2):
-        # integers or other type variables, but not containers and not Booleans
-        # (Booleans are handled as a distinct base in the surface language).
-        other = actual if isinstance(expected, TypeVarBase) else expected
+    if is_flexible(actual) or is_flexible(expected):
+        other = expected if is_flexible(actual) else actual
         return isinstance(other, (IntBase, TypeVarBase))
     if isinstance(actual, ListBase) and isinstance(expected, ListBase):
         if expected.sorted and not actual.sorted:
@@ -374,7 +386,14 @@ def base_compatible(actual: BaseType, expected: BaseType) -> bool:
         return base_compatible(actual.elem.base, expected.elem.base)
     if isinstance(actual, TreeBase) and isinstance(expected, TreeBase):
         return base_compatible(actual.elem.base, expected.elem.base)
+    if isinstance(actual, TypeVarBase) or isinstance(expected, TypeVarBase):
+        return actual == expected
     return type(actual) is type(expected)
+
+
+def is_flexible(base: BaseType) -> bool:
+    """Whether ``base`` is a flexible type variable (see :data:`ANY_SCALAR`)."""
+    return isinstance(base, TypeVarBase) and base.flexible
 
 
 def free_type_vars(rtype: Type) -> frozenset[str]:

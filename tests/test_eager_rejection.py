@@ -84,8 +84,9 @@ class TestCounters:
     def test_failing_compare_rung_checks_few_eterms(self):
         result = _run(*self._compare_o1())
         assert result.program is None
-        assert result.stats["eterm_checks"] <= 40  # 1,512 without the head check
-        assert result.stats["eager_rejections"] > 1000
+        assert result.stats["eterm_checks"] <= 40  # 761 without the head check
+        # The head check skips almost every candidate: 733 of 761.
+        assert result.stats["eager_rejections"] >= 0.95 * result.candidates_checked
         assert result.candidates_checked == (
             result.stats["eterm_checks"] + result.stats["eager_rejections"]
         )

@@ -210,9 +210,10 @@ def test_insert_fine_reaches_substitution_grounding(mode, monkeypatch):
     """Expressions without a linear form are live: ``insert_fine``'s element
     potential ``ite(x > nu, 1, 0)`` leaves an ``Ite`` in constraint
     expressions such as ``((0 - C) - C) - (if (x > x) then 1 else 0)``, and
-    CEGIS grounds and checks them by term substitution within the first 70
-    candidates."""
-    config = replace(mode(), max_candidates=70)
+    CEGIS grounds and checks them by term substitution within the first 100
+    candidates (the first groundings come after candidate 90; the program is
+    found at 183)."""
+    config = replace(mode(), max_candidates=100)
     groundings, violations = _recorded(table_benchmark("insert_fine").goal, config, monkeypatch)
     assert any(isinstance(rc.expr, t.Sub) and linear_form(rc.expr) is None for rc, *_ in groundings)
     assert any(linear_form(rc.expr) is None for rc, *_ in violations)

@@ -8,6 +8,7 @@ from repro.logic import terms as t
 from repro.typing.checker import CheckerConfig, TypeChecker
 from repro.typing.context import Context
 from repro.typing.types import (
+    ANY_SCALAR,
     ArrowType,
     BoolBase,
     IntBase,
@@ -59,9 +60,21 @@ class TestTypes:
             int_type().with_elem_potential(t.ONE)
 
     def test_base_compatibility(self):
-        assert base_compatible(IntBase(), TypeVarBase("a"))
+        # A goal's type variable is rigid: it matches only itself.
+        assert base_compatible(TypeVarBase("a"), TypeVarBase("a"))
+        assert not base_compatible(IntBase(), TypeVarBase("a"))
+        assert not base_compatible(TypeVarBase("a"), IntBase())
+        assert not base_compatible(TypeVarBase("a"), TypeVarBase("b"))
         assert not base_compatible(BoolBase(), TypeVarBase("a"))
         assert base_compatible(ListBase(tvar_type("a"), sorted=True).elem.base, TypeVarBase("a"))
+        assert not base_compatible(ListBase(int_type()), ListBase(tvar_type("a")))
+        # The flexible wildcard matches every ordered scalar, both ways.
+        for scalar in (IntBase(), TypeVarBase("a"), ANY_SCALAR):
+            assert base_compatible(ANY_SCALAR, scalar)
+            assert base_compatible(scalar, ANY_SCALAR)
+        assert not base_compatible(BoolBase(), ANY_SCALAR)
+        assert not base_compatible(ListBase(tvar_type("a")), ANY_SCALAR)
+        assert base_compatible(ListBase(RType(ANY_SCALAR)), ListBase(tvar_type("a")))
         # sorted list usable as unsorted, not vice versa
         sorted_list = ListBase(tvar_type("a"), sorted=True)
         unsorted_list = ListBase(tvar_type("a"), sorted=False)
@@ -173,6 +186,29 @@ class TestCheckerJudgments:
         cons_type, _ = checker.infer(ctx, s.Cons(s.Var("x"), s.Var("xs")))
         goal = list_type(tvar_type("a"), t.len_(NU_DATA).eq(t.len_(t.data_var("xs")) + 1))
         assert checker.check_result_subtype(ctx, cons_type, goal)
+
+    def test_rigid_type_variables_in_terms(self):
+        checker = make_checker(["append", "eq"], resource_aware=False)
+        ctx = (
+            Context()
+            .bind("x", tvar_type("a"))
+            .bind("xs", list_type(tvar_type("a")))
+            .bind("zs", list_type(int_type()))
+        )
+
+        def base_of(expr):
+            inferred = checker.infer(ctx, expr)
+            return None if inferred is None else inferred[0].base
+
+        # Nil's element is flexible; a Cons onto Nil takes its head's type.
+        assert base_of(s.Cons(s.IntLit(0), s.Nil())) == ListBase(int_type(), sorted=True)
+        assert base_of(s.Cons(s.IntLit(0), s.Var("xs"))) is None
+        # A component's own variable is instantiated per call, the goal's is not.
+        assert base_of(s.App("eq", (s.Var("x"), s.Var("x")))) == BoolBase()
+        assert base_of(s.App("eq", (s.Var("x"), s.IntLit(0)))) is None
+        inner = s.App("append", (s.Var("xs"), s.Var("xs")))
+        assert base_of(s.App("append", (inner, s.Var("xs")))) == ListBase(tvar_type("a"))
+        assert base_of(s.App("append", (inner, s.Var("zs")))) is None
 
     def test_cons_sortedness_detection(self):
         checker = make_checker()
