@@ -11,7 +11,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-## The slow-marked tests (heavy Table 2 rows such as insert_fine), each in
+## The slow-marked tests (heavy Table 2 rows such as range), each in
 ## its own pytest run under a 120 s cap.  `--run-slow` enables them and
 ## `-m slow` selects only them.  CI runs this on the reference interpreter.
 test-slow:

@@ -11,9 +11,16 @@ these with counter-example guided inductive synthesis:
   satisfy every recorded example.
 
 The *incremental* variant (the paper's contribution, evaluated in the T-NInc
-column of Table 2) keeps the current solution and example set across calls and
-only re-synthesizes coefficients for the clauses actually violated by a new
-counterexample.
+column of Table 2) keeps the current solution and example set across calls.
+
+Each synthesis query grounds every live constraint on every example.  The
+rows a constraint has produced are kept until the examples are rebuilt
+(:meth:`CegisSolver.reset`, a T-NInc restart, :meth:`CegisSolver.seed`), so
+a query grounds only the examples a constraint has not seen yet.  This
+departs from Algorithm 1, which grounds only the violated clauses on the
+new example: the query here is a superset of those rows.  Every row is a
+ground instance of a universally quantified constraint, so the extra rows
+never reject a valid solution.
 
 Grounding a constraint on an example is integer evaluation of the
 expression's per-coefficient linear form (:func:`linear_form`); the solver
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.logic import terms as t
+from repro.logic.simplify import simplify
 from repro.logic.terms import Term
 from repro.constraints.store import ResourceConstraint, coefficients_in, is_coefficient
 from repro.obs import trace
@@ -44,14 +52,10 @@ class CegisStats:
     synthesis_queries: int = 0
     counterexamples: int = 0
     restarts: int = 0
-    grounding_cache_hits: int = 0
-    grounding_cache_misses: int = 0
-    #: solver queries that raised SolverError/EncodingError (fail closed).
+    #: solver queries that raised SolverError/EncodingError (fail closed),
+    #: and (constraint, example) pairs that grounded to no row because the
+    #: guard was undecided or the grounded expression did not linearize.
     undecided: int = 0
-
-    def grounding_hit_rate(self) -> float:
-        total = self.grounding_cache_hits + self.grounding_cache_misses
-        return self.grounding_cache_hits / total if total else 0.0
 
 
 @dataclass
@@ -59,8 +63,8 @@ class Example:
     """A counterexample: concrete values for program variables and measures."""
 
     ints: Dict[object, int]
-    #: The example's values; equal counterexamples share guard decisions and
-    #: grounded rows across :meth:`CegisSolver.solve` calls.
+    #: The example's values; equal counterexamples share guard decisions
+    #: across :meth:`CegisSolver.solve` calls.
     key: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -203,13 +207,14 @@ class CegisSolver:
         #: restarts, unlike discovered counterexamples.
         self._seed_examples: List[Example] = []
         self.stats = CegisStats()
-        #: (constraint, example values) -> grounded linear constraints;
-        #: grounding does not depend on the current solution (coefficients
-        #: stay symbolic).
-        self._ground_cache: Dict[Tuple[ResourceConstraint, frozenset], List[LinConstraint]] = {}
+        #: constraint -> (how many of :attr:`examples` it is grounded on, its
+        #: distinct rows in first-occurrence order).  Grounding leaves the
+        #: coefficients symbolic, so rows stay valid until :attr:`examples`
+        #: is rebuilt; ``examples`` only grows in between.  A popped
+        #: constraint's rows never enter a query.
+        self._rows: Dict[ResourceConstraint, Tuple[int, Dict[LinConstraint, None]]] = {}
         #: (guard, example values) -> whether the grounded guard is
-        #: satisfiable (``None``: undecided).  Grounding and
-        #: :meth:`_is_violated` share it, and it outlives :meth:`reset`.
+        #: satisfiable (``None``: undecided).  It outlives :meth:`reset`.
         self._guard_cache: Dict[Tuple[Term, frozenset], Optional[bool]] = {}
 
     # -- public API -------------------------------------------------------
@@ -228,8 +233,6 @@ class CegisSolver:
             "cegis_verification_queries": self.stats.verification_queries,
             "cegis_synthesis_queries": self.stats.synthesis_queries,
             "cegis_counterexamples": self.stats.counterexamples,
-            "cegis_grounding_hit_rate": round(self.stats.grounding_hit_rate(), 4),
-            "cegis_ground_cache_size": len(self._ground_cache),
             "cegis_undecided": self.stats.undecided,
         }
 
@@ -246,12 +249,13 @@ class CegisSolver:
         self._seed_examples = list(examples)
         existing = {e.key for e in self.examples}
         self.examples = [e for e in self._seed_examples if e.key not in existing] + self.examples
+        self._rows.clear()
 
     def reset(self) -> None:
         """Forget the accumulated solution and examples (seeds are kept)."""
         self.solution = {}
         self.examples = list(self._seed_examples)
-        self._ground_cache.clear()
+        self._rows.clear()
         if len(self._guard_cache) > (1 << 16):
             self._guard_cache.clear()
 
@@ -269,33 +273,28 @@ class CegisSolver:
             self.stats.restarts += 1
             self.solution = {}
             self.examples = list(self._seed_examples)
+            self._rows.clear()
         coeffs = sorted({c for rc in constraints for c in coefficients_in(rc.expr)})
         for name in coeffs:
             self.solution.setdefault(name, 0)
         for _ in range(self.max_rounds):
-            violated = self._find_counterexample(constraints)
-            if violated is _UNDECIDED:
+            example = self._find_counterexample(constraints)
+            if example is _UNDECIDED:
                 return None
-            if violated is None:
+            if example is None:
                 return dict(self.solution)
-            example, violated_constraints = violated
             self.stats.counterexamples += 1
             self.examples.append(example)
-            relevant = violated_constraints if self.incremental else list(constraints)
-            new_solution = self._synthesize(constraints, relevant, coeffs)
+            new_solution = self._synthesize(constraints, coeffs)
             if new_solution is None:
                 return None
             self.solution.update(new_solution)
         return None
 
-    def check(self, constraints: Sequence[ResourceConstraint]) -> bool:
-        """Whether the system is solvable (convenience wrapper)."""
-        return self.solve(constraints) is not None
-
     # -- verification -------------------------------------------------------
     def _find_counterexample(
         self, constraints: Sequence[ResourceConstraint]
-    ) -> Optional[Tuple[Example, List[ResourceConstraint]]] | object:
+    ) -> Optional[Example] | object:
         """Search for an example violating the current solution.
 
         Returns :data:`_UNDECIDED` when a verification query cannot be
@@ -310,13 +309,8 @@ class CegisSolver:
             except (SolverError, EncodingError):
                 self.stats.undecided += 1
                 return _UNDECIDED
-            if model is None:
-                continue
-            example = Example(dict(model.ints))
-            violated = [other for other in constraints if self._is_violated(other, example)]
-            if not violated:
-                violated = [rc]
-            return example, violated
+            if model is not None:
+                return Example(dict(model.ints))
         return None
 
     def _violation_query(self, rc: ResourceConstraint, solution: Dict[str, int]) -> Term:
@@ -329,30 +323,6 @@ class CegisSolver:
         else:
             violation = instantiated < 0
         return t.conj(rc.guard, violation)
-
-    def _is_violated(self, rc: ResourceConstraint, example: Example) -> bool:
-        """Whether ``rc`` (under the current solution) is violated by ``example``.
-
-        An undecided check counts as violated, so the constraint is re-solved
-        on the example rather than assumed to hold.
-        """
-        form = linear_form(rc.expr)
-        if form is None:
-            # No linear form: the solver decides the grounded violation query.
-            query = example.substitute_into(self._violation_query(rc, self.solution))
-            try:
-                return self.solver.check_sat(query) is not None
-            except (SolverError, EncodingError):
-                self.stats.undecided += 1
-                return True
-        holds = self._guard_holds(rc.guard, example)
-        if holds is None:
-            self.stats.undecided += 1
-            return True
-        if not holds:
-            return False
-        # The guard holds and the form exists, so the example grounds to rows.
-        return not all(row.holds(self.solution) for row in self._ground_constraint(rc, example))
 
     def _guard_holds(self, guard: Term, example: Example) -> Optional[bool]:
         """Whether ``guard`` is satisfiable on ``example`` (``None``: undecided)."""
@@ -370,33 +340,26 @@ class CegisSolver:
 
     # -- synthesis ----------------------------------------------------------
     def _synthesize(
-        self,
-        all_constraints: Sequence[ResourceConstraint],
-        violated: Sequence[ResourceConstraint],
-        coeffs: Sequence[str],
+        self, constraints: Sequence[ResourceConstraint], coeffs: Sequence[str]
     ) -> Optional[Dict[str, int]]:
-        """Find coefficients satisfying the recorded examples.
+        """Find coefficients satisfying every constraint on every example.
 
-        Following Algorithm 1, the incremental variant only instantiates the
-        clauses that were actually violated (``violated``) on the new example,
-        together with all previously recorded example instantiations, which
-        keeps the synthesis constraint small.
+        The query is each live constraint's rows, in constraint order.  A
+        constraint is grounded only on the examples it has not seen yet and
+        keeps each distinct row once (examples often ground a constraint to
+        the same row); LIA drops the rows two constraints share.
         """
         self.stats.synthesis_queries += 1
         with trace.span("cegis.synth") as sp:
             linear: List[LinConstraint] = []
-            targets = violated if self.incremental else all_constraints
             with trace.span("cegis.ground"):
-                for example in self.examples:
-                    for rc in targets:
-                        linear.extend(self._ground_constraint(rc, example))
-                # Keep previously satisfied clauses satisfied on the accumulated
-                # examples as well (cheap, and prevents oscillation).
-                for example in self.examples[:-1]:
-                    for rc in all_constraints:
-                        linear.extend(self._ground_constraint(rc, example))
-                # Distinct rows in first-occurrence order: the system LIA sees.
-                linear = list(dict.fromkeys(linear))
+                for rc in constraints:
+                    grounded, rows = self._rows.get(rc, (0, {}))
+                    for example in self.examples[grounded:]:
+                        for row in self._ground(rc, example):
+                            rows[row] = None
+                    self._rows[rc] = (len(self.examples), rows)
+                    linear.extend(rows)
             if not linear:
                 return {name: self.solution.get(name, 0) for name in coeffs}
             if sp:
@@ -405,8 +368,8 @@ class CegisSolver:
                 result = self._solve_with_small_coefficients(linear, coeffs)
         if result is None:
             return None
-        # Coefficients not mentioned in the violated clauses keep their current
-        # values (Algorithm 1 updates C with C', it does not rebuild it).
+        # Coefficients no row mentions keep their current values
+        # (Algorithm 1 updates C with C', it does not rebuild it).
         solution = {name: self.solution.get(name, 0) for name in coeffs}
         for key, value in result.items():
             if isinstance(key, str) and is_coefficient(key):
@@ -455,26 +418,13 @@ class CegisSolver:
                 return model
         return unbounded if decided else feasible(None)
 
-    def _ground_constraint(self, rc: ResourceConstraint, example: Example) -> List[LinConstraint]:
+    def _ground(self, rc: ResourceConstraint, example: Example) -> List[LinConstraint]:
         """Instantiate a constraint on an example, producing constraints over C.
 
-        Grounding leaves the unknown coefficients symbolic, so the result
-        depends only on (constraint, example values) and is kept across
-        :meth:`solve` calls — the incremental loop re-grounds nothing.
+        An expression without a linear form is grounded by substitution and
+        simplified first, which folds the ``Ite``s whose conditions the
+        example decides.
         """
-        key = (rc, example.key)
-        cached = self._ground_cache.get(key)
-        if cached is not None:
-            self.stats.grounding_cache_hits += 1
-            return cached
-        self.stats.grounding_cache_misses += 1
-        constraints = self._ground_constraint_uncached(rc, example)
-        self._ground_cache[key] = constraints
-        return constraints
-
-    def _ground_constraint_uncached(
-        self, rc: ResourceConstraint, example: Example
-    ) -> List[LinConstraint]:
         holds = self._guard_holds(rc.guard, example)
         if holds is False:
             return []  # the example does not satisfy the guard: vacuous
@@ -485,7 +435,7 @@ class CegisSolver:
                 linexpr = (
                     _ground_form(form, example.ints)
                     if form is not None
-                    else linearize(example.substitute_into(rc.expr))
+                    else linearize(simplify(example.substitute_into(rc.expr)))
                 )
             except EncodingError:
                 pass

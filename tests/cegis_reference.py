@@ -3,12 +3,11 @@
 This module preserves the grounding that :mod:`repro.constraints.cegis`
 replaced with per-coefficient linear forms: substitute an example's values
 into a constraint's guard and expression, ask the solver whether the grounded
-guard is satisfiable, and linearize the grounded expression.  The violation
-check is the same substitution applied to the whole violation query, and
-the synthesis query asks LIA under coefficient bounds 1, 2, 4, 8 and then
-none, in that order.
-``tests/test_grounding.py`` uses it as the oracle for rows, vacuous ``[]``
-results, undecided counts and violation verdicts.
+guard is satisfiable, and linearize the simplified grounded expression
+(simplifying folds the ``Ite``s whose conditions the example decides).  The
+synthesis query asks LIA under coefficient bounds 1, 2, 4, 8 and then none,
+in that order.  ``tests/test_grounding.py`` uses it as the oracle for rows,
+vacuous ``[]`` results and undecided counts.
 
 Everything here is deliberately uncached; it lives with the tests because
 only the tests use it.
@@ -18,8 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.constraints.store import ResourceConstraint, coefficients_in, is_coefficient
+from repro.constraints.store import ResourceConstraint, is_coefficient
 from repro.logic import terms as t
+from repro.logic.simplify import simplify
 from repro.logic.terms import Term
 from repro.smt.encoder import EncodingError, linearize
 from repro.smt.lia import check_integer_feasible
@@ -62,30 +62,13 @@ def ground_reference(
     try:
         if solver.check_sat(guard) is None:
             return [], False  # the example does not satisfy the guard: vacuous
-        linexpr = linearize(substitute_values(rc.expr, values))
+        linexpr = linearize(simplify(substitute_values(rc.expr, values)))
     except (SolverError, EncodingError):
         return [], True
     rows = [Constraint(-linexpr)]
     if rc.equality:
         rows.append(Constraint(linexpr))
     return rows, False
-
-
-def violated_reference(
-    solver: Solver, rc: ResourceConstraint, values: Dict[object, int], solution: Dict[str, int]
-) -> Tuple[bool, bool]:
-    """``(violated, undecided)``: whether ``values`` violates ``rc`` under ``solution``."""
-    coefficients = {name: t.IntConst(solution.get(name, 0)) for name in coefficients_in(rc.expr)}
-    instantiated = t.substitute(rc.expr, coefficients)
-    if rc.equality:
-        violation = t.disj(instantiated < 0, instantiated > 0)
-    else:
-        violation = instantiated < 0
-    query = substitute_values(t.conj(rc.guard, violation), values)
-    try:
-        return solver.check_sat(query) is not None, False
-    except (SolverError, EncodingError):
-        return True, True
 
 
 def small_coefficient_model_reference(linear: List[Constraint]):

@@ -98,7 +98,7 @@ class TestCounters:
         late = _run(goal, config)
         assert result.program is None
         assert result.stats["eterm_checks"] < late.stats["eterm_checks"]  # 32 vs 74 now
-        # 24 in a fresh process; 108 there without the prefix rule.  Counts
+        # 9 in a fresh process; 58 there without the prefix rule.  Counts
         # depend on LIA models, hence on the process's earlier queries.
         assert result.cegis_counterexamples < 108
 

@@ -2,14 +2,13 @@
 
 :mod:`repro.constraints.cegis` grounds a constraint on an example by integer
 evaluation of the expression's per-coefficient linear form, and decides each
-(guard, example) pair once for both grounding and the violation check.  The
-oracle is the substitution-based grounding it replaced
-(``tests/cegis_reference.py``): on hypothesis-generated constraints,
-including the shapes that have no linear form (``Ite``, products of two
-coefficient terms, Boolean and set leaves in numeric positions), and on the
-(constraint, example) pairs the portfolio ladders and ``insert_fine``
-actually ground, both give the same rows, the same vacuous ``[]``, the same
-undecided counts and the same violation verdicts.
+(guard, example) pair once.  The oracle is the substitution-based grounding
+it replaced (``tests/cegis_reference.py``): on hypothesis-generated
+constraints, including the shapes that have no linear form (``Ite``,
+products of two coefficient terms, Boolean and set leaves in numeric
+positions), and on the (constraint, example) pairs the portfolio ladders and
+``insert_fine`` actually ground, both give the same rows, the same vacuous
+``[]`` and the same undecided counts.
 """
 
 from dataclasses import replace
@@ -17,11 +16,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cegis_reference import (
-    ground_reference,
-    small_coefficient_model_reference,
-    violated_reference,
-)
+from cegis_reference import ground_reference, small_coefficient_model_reference
 from repro.benchsuite.definitions import benchmark_by_key as table_benchmark
 from repro.constraints.cegis import CegisSolver, Example, linear_form
 from repro.constraints.store import ResourceConstraint, fresh_coefficient_var
@@ -82,23 +77,13 @@ _constraints = st.builds(ResourceConstraint, _guards, _exprs, st.booleans())
 _values = st.fixed_dictionaries(
     {}, optional={"x": st.integers(-3, 3), "y": st.integers(-3, 3), LEN: st.integers(0, 4)}
 )
-_solutions = st.fixed_dictionaries(
-    {}, optional={C1.name: st.integers(-3, 3), C2.name: st.integers(-3, 3)}
-)
 
 
 def _ground(rc, values):
     """``(rows, undecided)`` from the linear-form grounding."""
     cegis = CegisSolver()
-    rows = cegis._ground_constraint_uncached(rc, Example(dict(values)))
+    rows = cegis._ground(rc, Example(dict(values)))
     return rows, cegis.stats.undecided == 1
-
-
-def _violated(rc, values, solution):
-    cegis = CegisSolver()
-    cegis.solution = dict(solution)
-    violated = cegis._is_violated(rc, Example(dict(values)))
-    return violated, cegis.stats.undecided == 1
 
 
 class TestAgainstSubstitution:
@@ -107,15 +92,8 @@ class TestAgainstSubstitution:
     def test_same_rows_vacuity_and_undecided(self, rc, values):
         assert _ground(rc, values) == ground_reference(Solver(), rc, values)
 
-    @given(_constraints, _values, _solutions)
-    @settings(max_examples=300, deadline=None)
-    def test_same_violation_verdicts(self, rc, values, solution):
-        assert _violated(rc, values, solution) == violated_reference(
-            Solver(), rc, values, solution
-        )
-
     def test_encoding_error_shapes_have_no_form_and_ground_to_nothing(self):
-        for expr in (t.Ite(x > 1, C1, t.ONE), t.Mul(C1, C2), t.Mul(t.Mul(C1, x), C2)):
+        for expr in (t.Mul(C1, C2), t.Mul(t.Mul(C1, x), C2)):
             rc = ResourceConstraint(t.TRUE, expr)
             assert linear_form(expr) is None
             assert _ground(rc, {"x": 2}) == ([], True)
@@ -123,6 +101,16 @@ class TestAgainstSubstitution:
         # A product whose coefficient factor vanishes on the example is linear there.
         rc = ResourceConstraint(t.TRUE, t.Mul(t.Mul(C1, x), C2))
         assert _ground(rc, {"x": 0}) == ([Constraint(LinExpr())], False)
+
+    def test_ites_the_example_decides_fold_to_rows(self):
+        rc = ResourceConstraint(t.TRUE, t.Ite(x > 1, C1, t.ONE))
+        assert linear_form(rc.expr) is None
+        row = Constraint(-LinExpr.var(C1.name))  # C1 >= 0
+        assert _ground(rc, {"x": 2}) == ([row], False)
+        assert ground_reference(Solver(), rc, {"x": 2}) == ([row], False)
+        # A symbolic Boolean condition stays an Ite, which has no row.
+        rc = ResourceConstraint(t.TRUE, t.Ite(b, C1, t.ONE))
+        assert _ground(rc, {"x": 2}) == ([], True)
 
     def test_forms_are_linear_per_coefficient(self):
         form = linear_form(t.Mul(C1 + 2, LEN) - x + 3)
@@ -162,9 +150,9 @@ LADDER_RUNGS = (("asym_subset", "O(n)[c=1]"), ("asym_triple", "O(1)[c=1]"))
 
 
 def _recorded(goal, config, monkeypatch):
-    """Synthesize ``goal``; return the grounding and violation calls CEGIS made."""
-    groundings, violations = [], []
-    ground, is_violated = CegisSolver._ground_constraint_uncached, CegisSolver._is_violated
+    """Synthesize ``goal``; return the groundings CEGIS made."""
+    groundings = []
+    ground = CegisSolver._ground
 
     def record_ground(self, rc, example):
         before = self.stats.undecided
@@ -172,26 +160,16 @@ def _recorded(goal, config, monkeypatch):
         groundings.append((rc, dict(example.ints), rows, self.stats.undecided > before))
         return rows
 
-    def record_violated(self, rc, example):
-        before = self.stats.undecided
-        verdict = is_violated(self, rc, example)
-        undecided = self.stats.undecided > before
-        violations.append((rc, dict(example.ints), dict(self.solution), verdict, undecided))
-        return verdict
-
-    monkeypatch.setattr(CegisSolver, "_ground_constraint_uncached", record_ground)
-    monkeypatch.setattr(CegisSolver, "_is_violated", record_violated)
+    monkeypatch.setattr(CegisSolver, "_ground", record_ground)
     Synthesizer(goal, config).synthesize()
     monkeypatch.undo()
-    return groundings, violations
+    return groundings
 
 
-def _assert_as_by_substitution(groundings, violations):
+def _assert_as_by_substitution(groundings):
     solver = Solver()
     for rc, values, rows, undecided in groundings:
         assert (rows, undecided) == ground_reference(solver, rc, values)
-    for rc, values, solution, verdict, undecided in violations:
-        assert (verdict, undecided) == violated_reference(solver, rc, values, solution)
 
 
 @pytest.mark.parametrize("key,label", LADDER_RUNGS)
@@ -199,10 +177,9 @@ def test_ladder_pairs_ground_as_by_substitution(key, label, monkeypatch):
     bench = benchmark_by_key(key)
     config = replace(SynthesisConfig.resyn(), **bench.config_overrides)
     (rung,) = [rung for rung in compile_ladder(bench.goal) if rung.label == label]
-    groundings, violations = _recorded(rung.goal, config, monkeypatch)
-    assert groundings and violations
+    groundings = _recorded(rung.goal, config, monkeypatch)
     assert any(rows for _, _, rows, _ in groundings)
-    _assert_as_by_substitution(groundings, violations)
+    _assert_as_by_substitution(groundings)
 
 
 @pytest.mark.parametrize("mode", [SynthesisConfig.resyn, SynthesisConfig.resyn_nonincremental])
@@ -210,11 +187,11 @@ def test_insert_fine_reaches_substitution_grounding(mode, monkeypatch):
     """Expressions without a linear form are live: ``insert_fine``'s element
     potential ``ite(x > nu, 1, 0)`` leaves an ``Ite`` in constraint
     expressions such as ``((0 - C) - C) - (if (x > x) then 1 else 0)``, and
-    CEGIS grounds and checks them by term substitution within the first 100
-    candidates (the first groundings come after candidate 90; the program is
-    found at 183)."""
+    CEGIS grounds them by term substitution within the first 100 candidates
+    (the program is found at 183).  The example decides the condition, so
+    the folded ``Ite`` yields rows."""
     config = replace(mode(), max_candidates=100)
-    groundings, violations = _recorded(table_benchmark("insert_fine").goal, config, monkeypatch)
-    assert any(isinstance(rc.expr, t.Sub) and linear_form(rc.expr) is None for rc, *_ in groundings)
-    assert any(linear_form(rc.expr) is None for rc, *_ in violations)
-    _assert_as_by_substitution(groundings, violations)
+    groundings = _recorded(table_benchmark("insert_fine").goal, config, monkeypatch)
+    no_form = [(rc, rows) for rc, _, rows, _ in groundings if linear_form(rc.expr) is None]
+    assert any(isinstance(rc.expr, t.Sub) and rows for rc, rows in no_form)
+    _assert_as_by_substitution(groundings)

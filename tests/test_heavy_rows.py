@@ -3,8 +3,8 @@
 A goal's type variable matches only itself, so these polymorphic rows no
 longer enumerate candidates that use an ``Int`` where an ``a`` goes.  Each
 row pins its program and its candidate count; nothing here measures
-wall-clock time.  ``insert_fine`` still takes seconds (1,240 CEGIS
-counterexamples), so it runs only with ``--run-slow``.
+wall-clock time.  ``range`` still takes seconds and returns no program, so
+it runs only with ``--run-slow``.
 """
 
 import pytest
@@ -21,6 +21,8 @@ INSERT_SORTED = (
 ROWS = [
     ("t1_insert_sorted", "resyn", INSERT_SORTED.format(name="t1_insert_sorted"), 183),
     ("t1_insert_sorted", "noninc", INSERT_SORTED.format(name="t1_insert_sorted"), 183),
+    ("insert_fine", "resyn", INSERT_SORTED.format(name="insert_fine"), 183),
+    ("insert_fine", "noninc", INSERT_SORTED.format(name="insert_fine"), 183),
     (
         "replicate",
         "resyn",
@@ -58,7 +60,9 @@ def test_row_program_and_candidates(key, mode, program, candidates):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("mode", ["resyn", "noninc"])
-def test_insert_fine(mode):
-    result = _run("insert_fine", mode)
-    assert str(result.program) == INSERT_SORTED.format(name="insert_fine")
-    assert result.candidates_checked == 183
+def test_range_exhausts_its_search(mode):
+    # The committed spec leaves the result's elements unbounded below, so
+    # the paper's program does not check (the `range` spec gap in ROADMAP.md).
+    result = _run("range", mode)
+    assert result.program is None
+    assert result.candidates_checked == 7819
