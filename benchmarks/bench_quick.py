@@ -40,7 +40,7 @@ byte-identical between the race and the serial walk.
 ``src_lines`` is the total line count of ``src/repro/**/*.py``, tracked next
 to wall-clock as the code-size trajectory (reported, never guarded).
 ``intern_nodes`` is the number of hash-consed term nodes alive after the
-serial loop (the ``logic.terms`` metrics view), tracked as the term layer's
+serial loop (``repro.logic.terms.intern_nodes``), tracked as the term layer's
 memory trajectory (reported, never guarded).
 
 ``benchmarks/check_regression.py`` compares a fresh report against the
@@ -78,7 +78,8 @@ random.seed(BENCH_SEED)
 
 from repro.benchsuite.runner import benchmark_config, selected_benchmarks  # noqa: E402
 from repro.core import synthesize  # noqa: E402
-from repro.obs import export, metrics, trace  # noqa: E402
+from repro.logic.terms import intern_nodes  # noqa: E402
+from repro.obs import export, trace  # noqa: E402
 from repro.service.scheduler import BatchScheduler, job_for_goal  # noqa: E402
 
 
@@ -147,7 +148,7 @@ def run_quick() -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "total_seconds": round(total, 4),
         "src_lines": src_line_count(),
-        "intern_nodes": metrics.REGISTRY.collect("logic.terms")["intern_nodes"],
+        "intern_nodes": intern_nodes(),
         "counters": counters,
         "rows": rows,
     }

@@ -59,8 +59,8 @@ from repro.core.config import SynthesisConfig
 from repro.core.goals import SynthesisGoal, SynthesisResult
 from repro.lang import syntax as s
 from repro.logic import terms as t
-from repro.obs import metrics, trace
-from repro.smt.solver import Solver, theory_counters
+from repro.obs import trace
+from repro.smt.solver import Solver, delta, theory_counters
 from repro.typing.checker import CheckerConfig, TypeChecker
 from repro.typing.context import Context
 from repro.typing.types import (
@@ -216,15 +216,15 @@ class Synthesizer:
         (including the shared Tseitin gate-cache traffic of the incremental
         encoder: ``gate_cache_queries``/``gate_cache_hits``/
         ``gate_cache_hit_rate``/``gate_clauses_reused``); the LIA/SAT/scaling
-        counters are process-wide (:func:`repro.smt.solver.theory_counters`
-        is a view over :data:`repro.obs.metrics.REGISTRY`), so they are
-        reported as deltas over this run: feasibility-cache traffic, Fourier-Motzkin
-        eliminations/tightenings, unsat-core counts and average size, and the
-        SAT engine's decisions/conflicts/VSIDS bumps/learned-clause churn.
+        counters are process-wide (:func:`repro.smt.solver.theory_counters`),
+        so they are reported as the :func:`repro.smt.solver.delta` over this
+        run: feasibility-cache traffic, Fourier-Motzkin eliminations/
+        tightenings, unsat-core counts and average size, and the SAT engine's
+        decisions/conflicts/VSIDS bumps/learned-clause churn.
         """
         report = self.solver.cache_report(since=solver_before)
         report.update(self.cegis.cache_report())
-        deltas = metrics.delta(counters_before, theory_counters())
+        deltas = delta(counters_before, theory_counters())
         report.update(deltas)
         lia_queries = deltas["lia_queries"]
         lia_hits = deltas["lia_cache_hits"]

@@ -43,7 +43,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 from repro.logic.sorts import BOOL, DATA, INT, SET, Sort
-from repro.obs import metrics
 
 
 class _TermMeta(type):
@@ -644,11 +643,9 @@ class SetAll(Term):
         return f"(∀{self.var} ∈ {self.set_term}. {self.body})"
 
 
-#: Interned nodes over all term classes, counted only when collected.
-metrics.REGISTRY.register_view(
-    "logic.terms",
-    lambda: {"intern_nodes": sum(len(cls._intern_table) for cls in Term.__subclasses__())},
-)
+def intern_nodes() -> int:
+    """Interned nodes alive over all term classes (the term layer's size)."""
+    return sum(len(cls._intern_table) for cls in Term.__subclasses__())
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,15 @@ See :mod:`repro.portfolio.bounds` for ladder compilation,
 
 from repro.portfolio.bounds import Rung, compile_ladder, rung_label
 from repro.portfolio.runner import is_portfolio_job, portfolio_enabled
-from repro.portfolio.variants import (
-    Variant,
-    component_variants,
-    expand_goal,
-    ladder_variants,
-    mode_variants,
-    relax_variants,
-)
+from repro.portfolio.variants import Variant, expand_goal, ladder_variants
 
 __all__ = [
     "Rung",
     "Variant",
     "compile_ladder",
-    "component_variants",
     "expand_goal",
     "is_portfolio_job",
     "ladder_variants",
-    "mode_variants",
     "portfolio_enabled",
-    "relax_variants",
     "rung_label",
 ]

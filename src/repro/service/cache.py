@@ -57,7 +57,7 @@ import time
 from dataclasses import astuple, dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.service import faults
 
 CACHE_FORMAT_VERSION = 2  # v2: per-entry checksums, quarantine directory
@@ -176,7 +176,6 @@ class _Shard:
         except OSError:
             # Can't even move it; drop it so it stops matching lookups.
             self.stats.io_errors += 1
-            metrics.REGISTRY.counter("service.cache.io_errors").inc()
             try:
                 os.unlink(path)
             except OSError:
@@ -184,7 +183,6 @@ class _Shard:
         self.stats.quarantined += 1
         if self._count is not None and self._count > 0:
             self._count -= 1
-        metrics.REGISTRY.counter("service.cache.quarantined").inc()
         trace.event("cache.quarantine", path=os.path.basename(path), reason=reason)
 
     def _load_verified(self, path: str) -> Optional[dict]:
@@ -232,11 +230,9 @@ class _Shard:
         entry = self._load_verified(path)
         if entry is None:
             self.stats.misses += 1
-            metrics.REGISTRY.counter("service.cache.misses").inc()
             trace.event("cache.miss", fingerprint=fingerprint)
             return None
         self.stats.hits += 1
-        metrics.REGISTRY.counter("service.cache.hits").inc()
         trace.event("cache.hit", fingerprint=fingerprint)
         try:
             os.utime(path)
@@ -244,7 +240,6 @@ class _Shard:
             # LRU stamp only; a failed touch just ages the entry — but count
             # it, a disk that refuses utime is telling us something.
             self.stats.io_errors += 1
-            metrics.REGISTRY.counter("service.cache.io_errors").inc()
         return entry
 
     def store(self, fingerprint: str, record: dict) -> None:
@@ -269,7 +264,6 @@ class _Shard:
         else:
             _atomic_write(path, entry)
         self.stats.stores += 1
-        metrics.REGISTRY.counter("service.cache.stores").inc()
         trace.event("cache.store", fingerprint=fingerprint)
         if (
             self.max_entries is not None
@@ -327,7 +321,6 @@ class _Shard:
                         # Usually a concurrent eviction; still worth counting,
                         # a stream of these is a disk problem, not a race.
                         self.stats.io_errors += 1
-                        metrics.REGISTRY.counter("service.cache.io_errors").inc()
                         continue
         found.sort()
         return found
@@ -349,10 +342,8 @@ class _Shard:
                 os.unlink(path)
                 deleted += 1
                 self.stats.evictions += 1
-                metrics.REGISTRY.counter("service.cache.evictions").inc()
             except OSError:
                 self.stats.io_errors += 1
-                metrics.REGISTRY.counter("service.cache.io_errors").inc()
                 continue
         if deleted:
             trace.event("cache.evict", deleted=deleted)
@@ -375,7 +366,6 @@ class _Shard:
                 removed += 1
             except OSError:
                 self.stats.io_errors += 1
-                metrics.REGISTRY.counter("service.cache.io_errors").inc()
                 continue
         self._count = 0
         return removed

@@ -37,11 +37,10 @@ the shape used to prove recovery (a job crashes once, the retry succeeds, the
 final record is identical).  Without it the decision re-rolls per attempt, so
 ``rate=1.0`` reproduces a persistent failure (the poison-job path).
 
-Every fault that fires is counted into the PR 6 metrics registry
-(``service.faults.<point>``) and emitted as a trace event.  Worker-side
-fires (crash/hang) happen in the child process, so their registry counts die
-with the worker — the parent-observable consequences (kills, retries, hard
-timeouts) are what the scheduler counts.
+Every fault that fires is emitted as a ``fault`` trace event.  Worker-side
+fires (crash/hang) happen in the child process, so what is counted is their
+parent-observable consequence: the kills, retries and hard timeouts in
+``SchedulerStats``, which reach ``telemetry.json`` and ``/stats``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.obs import metrics, trace
+from repro.obs import trace
 
 #: The worker process dies mid-job.
 WORKER_CRASH = "worker.crash"
@@ -161,7 +160,6 @@ class FaultPlan:
         draw = int.from_bytes(digest[:8], "big") / 2**64
         fired = draw < rule.rate
         if fired:
-            metrics.REGISTRY.counter(f"service.faults.{point}").inc()
             trace.event("fault", point=point, key=key, attempt=attempt)
         return fired
 

@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
 from repro.core.goals import SynthesisGoal, SynthesisResult
-from repro.obs import metrics
 from repro.service import faults, warm
 from repro.service.cache import ResultCache
 from repro.service.codec import config_from_json, config_to_json, goal_from_json, goal_to_json
@@ -756,30 +755,9 @@ class BatchScheduler:
                 f"w{slot}": round(min(busy[pid] / self.stats.wall_seconds, 1.0), 4)
                 for slot, pid in enumerate(sorted(busy))
             }
-        self._record_metrics()
         if self.cache is not None:
             self.cache.record_run_telemetry(self.stats.as_dict())
         return [group.result for group in groups]
-
-    def _record_metrics(self) -> None:
-        """Mirror this run's scheduling traffic into the metrics registry."""
-        registry = metrics.REGISTRY
-        registry.counter("service.runs").inc()
-        registry.counter("service.jobs").inc(self.stats.jobs)
-        registry.counter("service.cache_hits").inc(self.stats.cache_hits)
-        registry.counter("service.deduplicated").inc(self.stats.deduplicated)
-        registry.counter("service.synth_runs").inc(self.stats.synth_runs)
-        registry.counter("service.retries").inc(self.stats.retries)
-        registry.counter("service.worker_kills").inc(self.stats.worker_kills)
-        registry.counter("service.hard_timeouts").inc(self.stats.hard_timeouts)
-        registry.counter("service.poisoned").inc(self.stats.poisoned)
-        registry.counter("service.pool_rebuilds").inc(self.stats.pool_rebuilds)
-        registry.counter("service.degraded_serial").inc(self.stats.degraded_serial)
-        registry.counter("service.variants_raced").inc(self.stats.variants_raced)
-        registry.counter("service.variants_cancelled").inc(self.stats.variants_cancelled)
-        registry.histogram("service.queue_seconds").observe(self.stats.queue_seconds)
-        registry.histogram("service.run_seconds").observe(self.stats.run_seconds)
-        registry.gauge("service.workers").set(self.stats.workers)
 
     def run_goals(
         self,

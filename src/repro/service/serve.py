@@ -49,7 +49,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.service import warm
 from repro.service.codec import CodecError, config_from_wire, goal_from_json
 from repro.service.scheduler import (
@@ -218,13 +218,11 @@ class SynthesisServer:
         if self._pool.start() == 0:
             # No worker could spawn: stay up, run jobs inline (degraded).
             self.stats.degraded_serial = 1
-            metrics.REGISTRY.counter("serve.degraded").inc()
         self.started_at = time.monotonic()
         self._thread = threading.Thread(
             target=self._supervise, name="repro-serve-supervisor", daemon=True
         )
         self._thread.start()
-        metrics.REGISTRY.counter("serve.starts").inc()
         trace.event("serve.start", workers=self.workers, warm=warm.env_allows())
         return self
 
@@ -258,7 +256,6 @@ class SynthesisServer:
                 raise RuntimeError("server is shutting down")
             if self._pending >= self.max_pending:
                 self._admission_rejected += 1
-                metrics.REGISTRY.counter("service.admission.rejected").inc()
                 # Hint scales with the backlog per worker: roughly how long
                 # until a slot frees up, clamped to something polite.
                 retry_after = max(1, min(30, self._pending // max(self.workers, 1)))
@@ -268,7 +265,6 @@ class SynthesisServer:
             seq = self._seq
         self._inbox.put(("submit", (job, seq, emit, time.monotonic())))
         self._wake()
-        metrics.REGISTRY.counter("serve.jobs_submitted").inc()
         return seq
 
     def _wake(self) -> None:
@@ -357,7 +353,6 @@ class SynthesisServer:
         result = group.result
         with self._lock:
             self._pending = max(0, self._pending - 1)
-        metrics.REGISTRY.counter("serve.jobs_completed").inc()
         trace.event(
             "serve.job.done", tag=result.tag, ok=result.succeeded, attempts=result.attempts
         )
@@ -502,7 +497,6 @@ async def _handle_connection(
         if request is None:
             return
         method, path, _, body = request
-        metrics.REGISTRY.counter("serve.http_requests").inc()
         if method == "GET" and path == "/healthz":
             writer.write(_http_response("200 OK", {"ok": True}))
         elif method == "GET" and path == "/stats":

@@ -43,7 +43,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.obs import metrics
 from repro.portfolio.runner import Ladder, is_portfolio_job, portfolio_enabled
 from repro.service import faults
 from repro.service.scheduler import (
@@ -247,7 +246,6 @@ class Supervisor:
             if pool is not None and not self.stats.degraded_serial:
                 # Every worker is gone and none could be respawned.
                 self.stats.degraded_serial = 1
-                metrics.REGISTRY.counter("service.pool_fallbacks").inc()
             self._run_inline(self._queue.popleft())
             return []
         if pool is not None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.smt.solver import Solver
+from repro.smt.solver import Solver, delta
 
 #: Environment escape hatch: ``off``/``0``/``false``/``no`` vetoes warm
 #: execution even when the scheduler requested it (the byte-identity A/B
@@ -76,9 +76,8 @@ class WarmState:
         caches; ``resets`` counts the worker's database rebuilds so far.
         """
         after = self.solver.counters_snapshot()
-        before = ctx["snapshot"]
         sizes = ctx["sizes"]
-        delta = {key: after[key] - before.get(key, 0) for key in after}
+        job = delta(ctx["snapshot"], after)
         return {
             "enabled": True,
             "worker_job": self.jobs_served,
@@ -87,10 +86,10 @@ class WarmState:
             "atom_entries_at_start": sizes["atom_entries"],
             "sat_clauses_at_start": sizes["sat_clauses"],
             "valid_entries_at_start": sizes["valid_entries"],
-            "gate_hits": delta["gate_hits"],
-            "gate_clauses_reused": delta["gate_clauses_reused"],
-            "valid_hits": delta["valid_cache_hits"],
-            "model_hits": delta["model_cache_hits"],
+            "gate_hits": job["gate_hits"],
+            "gate_clauses_reused": job["gate_clauses_reused"],
+            "valid_hits": job["valid_cache_hits"],
+            "model_hits": job["model_cache_hits"],
             "resets": after["database_resets"],
         }
 

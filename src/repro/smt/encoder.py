@@ -40,7 +40,7 @@ from repro.logic import terms as t
 from repro.logic.simplify import simplify
 from repro.logic.sorts import BOOL, DATA, INT, SET, Sort
 from repro.logic.terms import Term
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.smt.linexpr import LinExpr
 from repro.smt.sat import CNF, SatSolver
 
@@ -62,8 +62,6 @@ class EncoderStats:
 
     encode_calls: int = 0
     encode_cache_hits: int = 0
-    preprocess_calls: int = 0
-    preprocess_cache_hits: int = 0
     #: shared Tseitin gate cache traffic (per formula node, atoms included).
     gate_queries: int = 0
     gate_hits: int = 0
@@ -71,9 +69,6 @@ class EncoderStats:
     gate_clauses_reused: int = 0
     #: times the clause database was dropped at its bound and started afresh.
     database_resets: int = 0
-
-    def gate_hit_rate(self) -> float:
-        return self.gate_hits / self.gate_queries if self.gate_queries else 0.0
 
 
 #: formula -> preprocessed (pre-Tseitin) formula, shared by all encoders.
@@ -98,19 +93,6 @@ _DATABASE_MAX = 1 << 16
 #: the solver's validity cache).
 _FORMULA_CACHE_MAX = 8192
 
-stats = EncoderStats()
-
-#: Module-wide preprocessing counters surfaced through the metrics registry
-#: (the per-encoder gate/encode counters live on each instance and flow
-#: through ``Solver.cache_report`` instead).
-metrics.REGISTRY.register_view(
-    "smt.encoder",
-    lambda: {
-        "preprocess_calls": stats.preprocess_calls,
-        "preprocess_cache_hits": stats.preprocess_cache_hits,
-    },
-)
-
 
 def _bounded_store(cache: Dict, key, value) -> None:
     """Insert into a module cache, clearing it wholesale at the bound."""
@@ -132,10 +114,8 @@ def _preprocess(formula: Term) -> Term:
     Cached per interned formula: the synthesizer re-checks the same subtyping
     and consistency queries many times along different search branches.
     """
-    stats.preprocess_calls += 1
     cached = _PRE_CACHE.get(formula)
     if cached is not None:
-        stats.preprocess_cache_hits += 1
         return cached
     with trace.span("smt.preprocess"):
         result = simplify(formula)

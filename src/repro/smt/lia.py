@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.smt.linexpr import Constraint, Key, LinExpr, int_form
 
 
@@ -96,37 +96,18 @@ class LiaStats:
     tightenings: int = 0
     #: unsat cores extracted (provenance + deletion pass).
     cores: int = 0
-    #: sum of final core sizes (for the average; see :meth:`avg_core_size`).
+    #: sum of final core sizes (``lia_avg_core_size`` in the harness report).
     core_size_total: int = 0
     #: subset feasibility probes spent making cores minimal.
     core_probes: int = 0
 
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.queries if self.queries else 0.0
 
-    def avg_core_size(self) -> float:
-        return self.core_size_total / self.cores if self.cores else 0.0
-
+stats = LiaStats()
 
 #: Shared feasibility cache.  A query is a *conjunction* of ``expr <= 0``
 #: constraints, so its result is fully determined by the set of expressions;
 #: the core-minimization probes and the CEGIS loop re-check many subsets and
 #: supersets of the same system, which makes this cache extremely hot.
-stats = LiaStats()
-
-metrics.REGISTRY.register_view(
-    "smt.lia",
-    lambda: {
-        "queries": stats.queries,
-        "cache_hits": stats.cache_hits,
-        "eliminations": stats.eliminations,
-        "tightenings": stats.tightenings,
-        "cores": stats.cores,
-        "core_size_total": stats.core_size_total,
-        "core_probes": stats.core_probes,
-    },
-)
-
 _CACHE: Dict[object, "_Entry"] = {}
 _CACHE_MAX = 1 << 16
 

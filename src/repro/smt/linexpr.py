@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, Mapping, Tuple
 
-from repro.obs import metrics
-
 
 Key = Hashable
 
@@ -317,9 +315,6 @@ class ScalingStats:
     queries: int = 0
     cache_hits: int = 0
 
-    def hit_rate(self) -> float:
-        return self.cache_hits / self.queries if self.queries else 0.0
-
 
 #: With the int-backed representation, scaling is a trivial accessor: the
 #: numerators *are* the integer form up to one GCD pass.  The result is
@@ -327,11 +322,6 @@ class ScalingStats:
 #: cache-traffic telemetry alive for the harness.
 scaling_stats = ScalingStats()
 IntForm = Tuple[Tuple[Tuple[Key, int], ...], int]
-
-metrics.REGISTRY.register_view(
-    "smt.scaling",
-    lambda: {"queries": scaling_stats.queries, "cache_hits": scaling_stats.cache_hits},
-)
 
 
 def int_form(expr: "LinExpr") -> IntForm:

@@ -58,8 +58,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics
-
 
 Clause = Tuple[int, ...]
 
@@ -75,7 +73,6 @@ _RESCALE_FACTOR = 1e-100
 class SatStats:
     """Process-wide counters for the SAT engine (read by the harness)."""
 
-    solves: int = 0
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
@@ -91,22 +88,6 @@ class SatStats:
 
 
 stats = SatStats()
-
-metrics.REGISTRY.register_view(
-    "smt.sat",
-    lambda: {
-        "solves": stats.solves,
-        "decisions": stats.decisions,
-        "propagations": stats.propagations,
-        "conflicts": stats.conflicts,
-        "var_bumps": stats.var_bumps,
-        "rescales": stats.rescales,
-        "learned_clauses": stats.learned_clauses,
-        "deleted_clauses": stats.deleted_clauses,
-        "db_reductions": stats.db_reductions,
-        "ingested_clauses": stats.ingested_clauses,
-    },
-)
 
 
 @dataclass
@@ -232,7 +213,6 @@ class SatSolver:
         allocated and safe to mutate.
         """
         self._ingest()
-        stats.solves += 1
         if self._has_empty:
             return None
         if cone is None:

@@ -59,16 +59,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.logic import terms as t
 from repro.logic.terms import Term
-from repro.obs import metrics, trace
+from repro.obs import trace
 from repro.smt import lia
 from repro.smt import sat
 from repro.smt.encoder import FormulaEncoding, IncrementalEncoder
 from repro.smt.lia import BudgetExceeded, check_integer_feasible
-from repro.smt.linexpr import Constraint, LinExpr
+from repro.smt.linexpr import Constraint, LinExpr, scaling_stats
 
 
 class SolverError(Exception):
@@ -239,9 +239,7 @@ class Solver:
         with or without it; on a warm (shared) solver it is what keeps
         per-job stats per-job.
         """
-        now = self.counters_snapshot()
-        base = since or {}
-        d = {key: value - base.get(key, 0) for key, value in now.items()}
+        d = delta(since or {}, self.counters_snapshot())
 
         def rate(hits: float, total: float) -> float:
             return round(hits / total, 4) if total else 0.0
@@ -352,18 +350,17 @@ class Solver:
         return model
 
 
-def _theory_view() -> Dict[str, float]:
-    """Provider behind the ``smt.theory`` registry view.
+def theory_counters() -> Dict[str, float]:
+    """Snapshot of the process-wide SMT counters (LIA, SAT, integer scaling).
 
-    One flat dictionary of every process-wide SMT counter (LIA, SAT, integer
-    scaling), under the exact key names ``SynthesisResult.stats`` and the
-    ``counters`` block of ``BENCH_synthesis.json`` have always used:
+    One flat dictionary under the exact key names ``SynthesisResult.stats``
+    and the ``counters`` block of ``BENCH_synthesis.json`` have always used:
     integer-scaling cache traffic, Fourier-Motzkin eliminations and
     tightenings, unsat-core counts/sizes/probes, and the SAT engine's
     decision/conflict/VSIDS/learned-clause activity and clause ingestion.
+    All counters are monotonically increasing, so a per-run report is the
+    :func:`delta` of two snapshots (see ``Synthesizer._collect_stats``).
     """
-    from repro.smt.linexpr import scaling_stats
-
     return {
         "scaling_queries": scaling_stats.queries,
         "scaling_cache_hits": scaling_stats.cache_hits,
@@ -386,17 +383,9 @@ def _theory_view() -> Dict[str, float]:
     }
 
 
-metrics.REGISTRY.register_view("smt.theory", _theory_view)
-
-
-def theory_counters() -> Dict[str, float]:
-    """Snapshot of the process-wide SMT counters (LIA, SAT, integer scaling).
-
-    A view over the metrics registry (``smt.theory``); all counters are
-    monotonically increasing, so a per-run report is the difference of two
-    snapshots (see ``Synthesizer._collect_stats``).
-    """
-    return metrics.REGISTRY.collect("smt.theory")
+def delta(before: Mapping[str, float], after: Mapping[str, float]) -> Dict[str, float]:
+    """Per-run difference of two monotonic snapshots (keys taken from ``after``)."""
+    return {key: value - before.get(key, 0) for key, value in after.items()}
 
 
 #: Sentinel distinguishing "cached None" from "not cached" in the model cache.

@@ -394,7 +394,7 @@ class TestFailureResults:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry: failure traffic reaches stats and the metrics registry
+# Telemetry: failure traffic reaches SchedulerStats and telemetry.json
 # ---------------------------------------------------------------------------
 
 

@@ -88,14 +88,6 @@ class TestGateCache:
         shared_encoding = encoder.encode(shared_part)
         assert set(shared_encoding.linear_atoms) <= set(encoding.linear_atoms)
 
-    def test_gate_hit_rate_reported(self):
-        encoder = IncrementalEncoder()
-        formula = _formula()
-        encoder.encode(formula)
-        assert encoder.stats.gate_hit_rate() == encoder.stats.gate_hits / max(
-            encoder.stats.gate_queries, 1
-        )
-
     def test_solver_verdicts_identical_with_replayed_encodings(self):
         """Replayed encodings solve to the same verdicts as cold ones."""
         x = t.Var("x", INT)

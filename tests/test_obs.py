@@ -7,11 +7,10 @@ Four contracts, mirroring the design constraints of the tracing PR:
   recorded without breaking the stack;
 * **no-op mode** — with tracing disabled a full synthesis run records zero
   spans and zero events;
-* **determinism** — the registry snapshot and the deterministic span counts
-  are identical across two runs of the same goal, and
-  ``SynthesisResult.stats`` keeps key/value parity with the committed
-  pre-refactor seed report (the byte-compatibility contract of the metrics
-  registry);
+* **determinism** — the SMT counters, interned-node growth, per-run stats
+  and deterministic span counts are identical across two steady-state runs
+  of the same goal, and ``SynthesisResult.stats`` keeps key/value parity
+  with the committed seed report;
 * **observation-only** — a traced run synthesizes byte-identical programs to
   an untraced one, and the scheduler/cache telemetry (queue-wait/run-time
   split, worker utilization, ``telemetry.json``, the ``stats`` subcommand)
@@ -28,9 +27,11 @@ import pytest
 
 from repro.benchsuite.definitions import is_empty_benchmark
 from repro.core import SynthesisConfig, synthesize
-from repro.obs import export, metrics, trace
+from repro.logic.terms import intern_nodes
+from repro.obs import export, trace
 from repro.service.cache import ResultCache
 from repro.service.scheduler import BatchScheduler, job_for_goal
+from repro.smt.solver import delta, theory_counters
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -154,51 +155,28 @@ class TestNoopMode:
         assert trace.span_records() == []
 
 
-class TestMetricsRegistry:
-    def test_typed_metrics(self):
-        registry = metrics.MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h").observe(2.0)
-        registry.histogram("h").observe(4.0)
-        snap = registry.snapshot()
-        assert snap["metrics"]["c"] == 2
-        assert snap["metrics"]["g"] == 1.5
-        assert snap["metrics"]["h"]["count"] == 2
-        assert snap["metrics"]["h"]["mean"] == 3.0
-        with pytest.raises(TypeError):
-            registry.gauge("c")
-        with pytest.raises(ValueError):
-            registry.counter("c").inc(-1)
+class TestSteadyStateCounters:
+    def test_second_and_third_runs_report_identical_stats(self):
+        """Steady-state runs of one goal move every counter by the same amount.
 
-    def test_views_and_delta(self):
-        registry = metrics.MetricsRegistry()
-        state = {"x": 1}
-        registry.register_view("v", lambda: dict(state))
-        before = registry.collect("v")
-        state["x"] = 5
-        assert metrics.delta(before, registry.collect("v")) == {"x": 4}
-
-    def test_theory_counters_is_a_registry_view(self):
-        from repro.smt.solver import theory_counters
-
-        assert "smt.theory" in metrics.REGISTRY.view_names()
-        assert theory_counters() == metrics.REGISTRY.collect("smt.theory")
-
-    def test_snapshot_deterministic_across_two_runs(self):
-        """Steady-state runs of one goal move every view by the same delta."""
+        Only the 2nd and 3rd runs are compared: the 1st run in a process
+        still fills process-wide caches (its ``lia_cache_hits`` and scaling
+        counters differ from the later runs').
+        """
         goal = is_empty_benchmark().goal
         synthesize(goal, SynthesisConfig.resyn())  # warm process-wide caches
-        before_2 = metrics.REGISTRY.snapshot()["views"]
-        synthesize(goal, SynthesisConfig.resyn())
-        after_2 = metrics.REGISTRY.snapshot()["views"]
-        synthesize(goal, SynthesisConfig.resyn())
-        after_3 = metrics.REGISTRY.snapshot()["views"]
-        views = ("smt.theory", "smt.lia", "smt.sat", "smt.scaling", "smt.encoder", "logic.terms")
-        for view in views:
-            run2 = metrics.delta(before_2[view], after_2[view])
-            run3 = metrics.delta(after_2[view], after_3[view])
-            assert run2 == run3, f"view {view} drifted between identical runs"
+        runs = []
+        for _ in range(2):
+            theory_before, nodes_before = theory_counters(), intern_nodes()
+            result = synthesize(goal, SynthesisConfig.resyn())
+            runs.append(
+                (
+                    delta(theory_before, theory_counters()),
+                    intern_nodes() - nodes_before,
+                    result.stats,
+                )
+            )
+        assert runs[0] == runs[1]
 
 
 class TestSeedParity:

@@ -19,9 +19,7 @@ from repro.portfolio import (
     compile_ladder,
     expand_goal,
     is_portfolio_job,
-    mode_variants,
     portfolio_enabled,
-    relax_variants,
 )
 from repro.portfolio.suite import asymptotic_benchmarks, asymptotic_spec, benchmark_by_key
 from repro.service import faults
@@ -94,23 +92,7 @@ class TestExpansion:
         from conftest import tiny_config, tiny_goal
 
         variants = expand_goal(tiny_goal(), tiny_config())
-        assert [(v.index, v.kind) for v in variants] == [(0, "goal")]
-
-    def test_mode_variants_give_resyn_priority(self):
-        from conftest import tiny_config, tiny_goal
-
-        variants = mode_variants(tiny_goal(), tiny_config())
-        assert [v.label for v in variants] == ["mode:resyn", "mode:synquid"]
-        assert not variants[1].config.checker.resource_aware
-
-    def test_relax_variants_dedupe_and_cap_at_base(self):
-        from conftest import tiny_config, tiny_goal
-
-        config = replace(tiny_config(), max_arg_depth=2, max_match_depth=1, max_cond_depth=0)
-        variants = relax_variants(tiny_goal(), config, levels=(1, 2, 3))
-        # Level 3 collapses into level 2 (base caps are already tighter).
-        assert [v.label for v in variants] == ["relax:depth1", "relax:depth2"]
-        assert variants[-1].config.max_arg_depth == 2
+        assert [(v.index, v.label) for v in variants] == [(0, "goal")]
 
     def test_asymptotic_jobs_are_portfolio_jobs(self):
         jobs = bench_jobs(("asym_is_empty",))
