@@ -4,8 +4,9 @@
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+SMOKE_SUITES := service serve pbe portfolio chaos
 
-.PHONY: test test-slow lint bench-quick check-regression bench-table1 bench-table2 specs service-smoke serve-smoke chaos-smoke pbe-smoke portfolio-smoke profile
+.PHONY: test test-slow lint bench-quick check-regression bench-table1 bench-table2 specs profile $(SMOKE_SUITES:%=%-smoke)
 
 ## Tier-1 verification: the full pytest suite (fails fast).
 test:
@@ -47,7 +48,8 @@ bench-table2:
 	$(PYTHON) -m repro.benchsuite.run_table2
 
 ## Regenerate the committed declarative goal specs from the benchmark
-## definitions (CI diffs specs/ against a fresh export).
+## definitions (`make service-smoke` fails when specs/ differs from a fresh
+## export).
 specs:
 	$(PYTHON) -m repro.service export --dir specs
 
@@ -57,66 +59,10 @@ specs:
 profile:
 	$(PYTHON) benchmarks/profile_quick.py
 
-## What the CI service-smoke job runs: a cold 2-worker scheduler pass over
-## the Table 1 spec, then a warm rerun that must be 100% cache hits.
-service-smoke:
-	rm -rf /tmp/resyn-smoke-cache
-	$(PYTHON) -m repro.service run specs/table1.json -j 2 --cache /tmp/resyn-smoke-cache
-	$(PYTHON) -m repro.service run specs/table1.json -j 2 --cache /tmp/resyn-smoke-cache --expect-all-hits
-	$(PYTHON) -m repro.service stats /tmp/resyn-smoke-cache
-
-## What the CI serve-smoke job runs: boot the long-running server (resident
-## warm workers + sharded cache + HTTP front-end), submit the fast Table 1
-## spec cold then warm over real HTTP (the warm pass must be 100% cache
-## hits with nonzero warm-state reuse), then prove the REPRO_WARM=off A/B
-## byte-identity guard.  Prints a markdown report for the step summary.
-serve-smoke:
-	rm -rf /tmp/resyn-serve-cache
-	$(PYTHON) benchmarks/check_serve.py --spec specs/table1.json --cache /tmp/resyn-serve-cache
-
-## What the CI pbe-smoke job runs: the example-driven suite cold through the
-## service (2 workers), a warm rerun that must be 100% cache hits, then
-## benchmarks/check_pbe.py verifies spec freshness, program identity across
-## runs, the grammar-pruning eterm_checks reduction, and that every solved
-## program satisfies every example by direct interpretation.
-pbe-smoke:
-	rm -rf /tmp/resyn-pbe-cache
-	$(PYTHON) -m repro.service run specs/pbe_suite.json -j 2 \
-	  --cache /tmp/resyn-pbe-cache --json /tmp/pbe-cold.json
-	$(PYTHON) -m repro.service run specs/pbe_suite.json -j 2 \
-	  --cache /tmp/resyn-pbe-cache --expect-all-hits --json /tmp/pbe-warm.json
-	$(PYTHON) benchmarks/check_pbe.py /tmp/pbe-cold.json /tmp/pbe-warm.json
-
-## What the CI portfolio-smoke job runs: the committed asymptotic suite cold
-## through the portfolio scheduler on 2 workers, twice, plus a
-## REPRO_PORTFOLIO=off sequential ladder walk.  Fails unless every goal is
-## solved with its expected winner rung, winners and programs are
-## byte-identical across runs and modes, and the race cancelled at least one
-## losing variant (losers must be reclaimed, not left to run dry).
-portfolio-smoke:
-	$(PYTHON) benchmarks/check_portfolio.py --workers 2
-
-## What the CI chaos-smoke job runs: the Table 1 spec under deterministic
-## fault injection (worker crashes + hangs, torn cache writes, read
-## corruption) must produce programs byte-identical to a fault-free run,
-## within bounded wall-clock, with the failure traffic visible in telemetry.
-## Seed 7 is chosen so the fast subset draws 2 crashes and 2 hangs (see
-## benchmarks/check_chaos.py for the contract being enforced).
-chaos-smoke:
-	rm -rf /tmp/resyn-chaos-clean /tmp/resyn-chaos-cache
-	$(PYTHON) -m repro.service run specs/table1.json -j 2 \
-	  --cache /tmp/resyn-chaos-clean --json /tmp/chaos-baseline.json
-	REPRO_FAULTS="worker.crash=0.4:once,worker.hang=0.15:once,cache.write_torn=0.4" \
-	REPRO_FAULTS_SEED=7 \
-	  timeout 300 $(PYTHON) -m repro.service run specs/table1.json -j 2 \
-	  --cache /tmp/resyn-chaos-cache --timeout 10 --hard-timeout 2 \
-	  --json /tmp/chaos-cold.json
-	REPRO_FAULTS="cache.read_corrupt=0.5:once" REPRO_FAULTS_SEED=7 \
-	  timeout 300 $(PYTHON) -m repro.service run specs/table1.json -j 2 \
-	  --cache /tmp/resyn-chaos-cache --timeout 10 --hard-timeout 2 \
-	  --json /tmp/chaos-warm.json
-	$(PYTHON) -m repro.service stats /tmp/resyn-chaos-cache --json > /tmp/chaos-stats.json
-	$(PYTHON) benchmarks/check_chaos.py /tmp/chaos-baseline.json \
-	  /tmp/chaos-cold.json /tmp/chaos-warm.json --stats /tmp/chaos-stats.json \
-	  --require retries --require worker_kills --require hard_timeouts \
-	  --require pool_rebuilds --require cache_quarantined
+## The end-to-end smoke contracts, one target per suite of
+## benchmarks/smoke.py: service (scheduler + warm cache + spec export),
+## serve (warm server over HTTP), pbe (example-driven suite), portfolio
+## (bound-ladder race vs. sequential walk) and chaos (fault injection).  CI's
+## smoke matrix runs exactly these recipes; the 600 s cap fails a hung suite.
+$(SMOKE_SUITES:%=%-smoke): %-smoke:
+	timeout 600 $(PYTHON) benchmarks/smoke.py $*

@@ -233,7 +233,7 @@ def run_service(serial_rows: list) -> dict:
         # results).
         "warm_state": dict(scheduler.stats.warm_state),
         # Failure traffic (all zero on a healthy fault-free run; the CI
-        # chaos-smoke job is where these go nonzero — see check_chaos.py).
+        # chaos-smoke job is where these go nonzero — see smoke.py).
         "retries": scheduler.stats.retries,
         "worker_kills": scheduler.stats.worker_kills,
         "hard_timeouts": scheduler.stats.hard_timeouts,

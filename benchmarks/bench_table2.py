@@ -11,18 +11,15 @@ slow case studies (common, list difference, compress, insert, take/drop).
 
 import pytest
 
-from repro.benchsuite.runner import measured_bound, selected_benchmarks
-from repro.core import SynthesisConfig, synthesize
+from repro.benchsuite.runner import benchmark_config, measured_bound, selected_benchmarks
+from repro.core import synthesize
 
 
 BENCHMARKS = selected_benchmarks("table2")
 
 
 def _synthesize(bench, mode):
-    config = bench.configs()[mode]
-    if bench.key.startswith("ct_") and mode == "resyn":
-        config = SynthesisConfig.constant_resource(**bench.config_overrides)
-    result = synthesize(bench.goal, config)
+    result = synthesize(bench.goal, benchmark_config(bench, mode))
     assert result.succeeded, f"{bench.key} failed to synthesize under {mode}"
     return result
 

@@ -1,77 +1,46 @@
-"""The portfolio ladder policy: race goal variants, report one winner.
+"""The portfolio ladder policy: race a goal's bound ladder, report one winner.
 
 A job whose goal carries an asymptotic bound (a ``"bound"`` block in the wire
 encoding) runs as a *job group* of the supervisor
-(:mod:`repro.service.supervisor`): its variant list
-(:func:`repro.portfolio.variants.expand_goal`) becomes indexed rung jobs
-(:func:`variant_jobs`) that share one worker pool with every other job, and
-:class:`Ladder` is the group's completion policy.  The supervisor executes;
-the ladder only decides.
+(:mod:`repro.service.supervisor`): its bound ladder
+(:func:`repro.portfolio.bounds.compile_ladder`) becomes indexed rung jobs
+that share one worker pool with every other job, and :class:`Ladder` is the
+group's completion policy.  The supervisor executes; the ladder only decides.
 
 **The winner rule is deterministic regardless of race timing.**  Among
-successful variants the one with the lowest index wins; a variant's win is
-*final* only once every lower-indexed variant has resolved as a failure.  The
-moment any variant succeeds, every higher-indexed variant is cancelled —
+successful rungs the one with the lowest index wins; a rung's win is
+*final* only once every lower-indexed rung has resolved as a failure.  The
+moment any rung succeeds, every higher-indexed rung is cancelled —
 queued ones are dequeued, active ones have their worker killed and replaced
 (:meth:`~repro.service.scheduler.WorkerPool.cancel_token`) — while
-lower-indexed variants run to completion.  The parallel race therefore
+lower-indexed rungs run to completion.  The parallel race therefore
 reports exactly the winner a sequential ladder walk would, because rung
 failures are decided by bounded-search exhaustion (deterministic), not by
 timeouts (timing-dependent).
 
-``REPRO_PORTFOLIO=off`` (or ``0``/``no``/``false``), like a single worker,
-disables racing: rungs are admitted one at a time in ladder order — a
-sequential walk with identical winners and zero cancellations — and
-non-asymptotic workloads are untouched either way.
+With a single worker there is nothing to race: rungs are admitted one at a
+time in ladder order — a sequential walk with identical winners and zero
+cancellations.  Non-asymptotic workloads are untouched either way.
 
 Attribution is split by determinism.  The cached winner record carries a
 deterministic ``stats["portfolio"]`` block (bound class, ladder labels,
 winner index) under the *logical* goal's fingerprint; how the race actually
-unfolded — per-variant outcomes, cancellations, wall-clock — is
+unfolded — per-rung outcomes, cancellations, wall-clock — is
 timing-dependent and rides on :attr:`JobResult.portfolio`, which is never
 cached (like the queue/run timings and the warm block).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.portfolio.variants import Variant, expand_goal
+from repro.portfolio.bounds import compile_ladder
 from repro.service.scheduler import Job, JobResult, job_for_goal
-
-#: Environment gate for portfolio racing (default on).
-PORTFOLIO_ENV = "REPRO_PORTFOLIO"
-_OFF_VALUES = {"0", "off", "no", "false"}
-
-
-def portfolio_enabled() -> bool:
-    """Whether the ``REPRO_PORTFOLIO`` gate allows racing (default yes)."""
-    return os.environ.get(PORTFOLIO_ENV, "on").strip().lower() not in _OFF_VALUES
 
 
 def is_portfolio_job(job: Job) -> bool:
     """Whether ``job``'s goal carries an asymptotic bound block."""
     return "bound" in job.goal_json
-
-
-def variant_jobs(job: Job, variants: Sequence[Variant]) -> List[Job]:
-    """Concrete jobs for ``variants``, tagged ``{tag}@{label}``.
-
-    Each variant job gets its own content fingerprint (the concrete rung goal
-    and config), so variant results are individually cacheable alongside the
-    logical goal's winner record.
-    """
-    return [
-        job_for_goal(
-            variant.goal,
-            variant.config,
-            tag=f"{job.tag}@{variant.label}",
-            timeout=job.timeout,
-            retries=job.retries,
-        )
-        for variant in variants
-    ]
 
 
 def portfolio_stats(
@@ -102,8 +71,21 @@ class Ladder:
     def __init__(self, job: Job, racing: bool) -> None:
         goal = job.goal()
         self.bound = goal.bound
-        self.variants = expand_goal(goal, job.config())
-        self.jobs = variant_jobs(job, self.variants)
+        self.rungs = compile_ladder(goal)
+        config = job.config()
+        # Each rung job gets its own content fingerprint (the concrete rung
+        # goal and config), so rung results are individually cacheable
+        # alongside the logical goal's winner record.
+        self.jobs = [
+            job_for_goal(
+                rung.goal,
+                config,
+                tag=f"{job.tag}@{rung.label}",
+                timeout=job.timeout,
+                retries=job.retries,
+            )
+            for rung in self.rungs
+        ]
         #: False walks the ladder: rung ``i+1`` is admitted once ``i`` failed.
         self.racing = racing
         self.statuses = ["pending"] * len(self.jobs)
@@ -164,11 +146,11 @@ class Ladder:
         """The logical job's result: the winner's record plus attribution."""
         winner = self.winner()
         rows = []
-        for index, variant in enumerate(self.variants):
+        for index, rung in enumerate(self.rungs):
             status = self.statuses[index]
             if status == "won" and index != winner:
                 status = "lost"
-            row: Dict[str, object] = {"index": index, "label": variant.label, "status": status}
+            row: Dict[str, object] = {"index": index, "label": rung.label, "status": status}
             result = self.resolved.get(index)
             if result is not None and result.record is not None:
                 row["seconds"] = round(result.seconds, 4)
@@ -185,7 +167,7 @@ class Ladder:
         attempts = sum(result.attempts for result in self.resolved.values())
         if winner is None:
             reasons = "; ".join(
-                f"{self.variants[i].label}: {self.resolved[i].failure_reason() or 'no program'}"
+                f"{self.rungs[i].label}: {self.resolved[i].failure_reason() or 'no program'}"
                 for i in sorted(self.resolved)
             )
             return JobResult(
@@ -196,7 +178,7 @@ class Ladder:
                 portfolio=run_info,
             )
         winner_result = self.resolved[winner]
-        run_info["winner"] = self.variants[winner].label
+        run_info["winner"] = self.rungs[winner].label
         # Sequential-ladder estimate: a ladder walk would have run exactly
         # rungs 0..winner, so their recorded seconds sum to its wall-clock.
         run_info["sequential_seconds"] = round(
@@ -205,7 +187,7 @@ class Ladder:
         record = dict(winner_result.record or {})
         stats_block = dict(record.get("stats") or {})
         stats_block["portfolio"] = portfolio_stats(
-            self.bound, [variant.label for variant in self.variants], winner
+            self.bound, [rung.label for rung in self.rungs], winner
         )
         record["stats"] = stats_block
         return JobResult(

@@ -778,10 +778,6 @@ class BatchScheduler:
             for goal, job_result in zip(goals, self.run(jobs))
         ]
 
-    def _payload(self, job: Job, clock_shared: bool = True) -> dict:
-        """The worker payload for ``job`` as submitted now."""
-        return job_payload(job, self.warm, time.monotonic() if clock_shared else None)
-
 
 def tally_result(
     stats: SchedulerStats, result: JobResult, busy: Optional[Dict[int, float]] = None

@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.portfolio.runner import Ladder, is_portfolio_job, portfolio_enabled
+from repro.portfolio.runner import Ladder, is_portfolio_job
 from repro.service import faults
 from repro.service.scheduler import (
     BACKOFF_BASE,
@@ -123,9 +123,9 @@ class Supervisor:
         self.retries = retries
         #: Ask workers to reuse a resident solver (REPRO_WARM=off vetoes it).
         self.warm = warm
-        #: Ladders race when there is more than one worker and the
-        #: REPRO_PORTFOLIO gate allows it; otherwise they walk in order.
-        self.racing = workers > 1 and portfolio_enabled()
+        #: Ladders race when there is more than one worker; otherwise they
+        #: walk in order.
+        self.racing = workers > 1
         #: Set by the caller once it starts one; None runs everything
         #: in-process (``workers <= 1``).
         self.pool: Optional[WorkerPool] = None
@@ -312,7 +312,7 @@ class Supervisor:
                 "event": "variant_started",
                 "id": group.seq,
                 "variant": unit.index,
-                "label": group.ladder.variants[unit.index].label,
+                "label": group.ladder.rungs[unit.index].label,
                 "attempt": attempt,
             },
         )
@@ -423,7 +423,7 @@ class Supervisor:
                     "event": "variant_cancelled",
                     "id": group.seq,
                     "variant": index,
-                    "label": ladder.variants[index].label,
+                    "label": ladder.rungs[index].label,
                 },
             )
         if decided:

@@ -373,13 +373,6 @@ class TestFailureResults:
         assert [r.goal.name for r in results] == ["g0", "g1"]
         assert all(r.program is None and "service_failure" in r.stats for r in results)
 
-    def test_queue_seconds_zero_under_spawn_clock_domain(self):
-        scheduler = BatchScheduler(workers=0)
-        payload = scheduler._payload(tiny_jobs(1)[0], clock_shared=False)
-        assert "submitted" not in payload
-        shared = scheduler._payload(tiny_jobs(1)[0], clock_shared=True)
-        assert "submitted" in shared
-
     @pytest.mark.skipif(
         "spawn" not in __import__("multiprocessing").get_all_start_methods(),
         reason="spawn start method unavailable",

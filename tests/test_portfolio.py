@@ -2,9 +2,9 @@
 
 The load-bearing property is that the portfolio's *outcome* is a pure
 function of the goal — winner rung and synthesized program are identical
-whether the ladder runs serially, races on two workers, races on four,
-loses workers to injected crashes, or is disabled outright.  Racing only
-changes wall-clock, never results.
+whether the ladder walks serially on one worker, races on two workers,
+races on four, or loses workers to injected crashes.  Racing only changes
+wall-clock, never results.
 """
 
 import json
@@ -15,12 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import SynthesisConfig
-from repro.portfolio import (
-    compile_ladder,
-    expand_goal,
-    is_portfolio_job,
-    portfolio_enabled,
-)
+from repro.portfolio import compile_ladder, is_portfolio_job
 from repro.portfolio.suite import asymptotic_benchmarks, asymptotic_spec, benchmark_by_key
 from repro.service import faults
 from repro.service.scheduler import BatchScheduler, job_for_goal
@@ -83,16 +78,9 @@ class TestLadderCompilation:
 class TestExpansion:
     def test_expansion_is_deterministic(self):
         bench = benchmark_by_key("asym_append")
-        config = bench_config(bench)
-        first = [(v.index, v.label) for v in expand_goal(bench.goal, config)]
-        second = [(v.index, v.label) for v in expand_goal(bench.goal, config)]
+        first = [(rung.index, rung.label) for rung in compile_ladder(bench.goal)]
+        second = [(rung.index, rung.label) for rung in compile_ladder(bench.goal)]
         assert first == second
-
-    def test_plain_goals_expand_to_a_single_variant(self):
-        from conftest import tiny_config, tiny_goal
-
-        variants = expand_goal(tiny_goal(), tiny_config())
-        assert [(v.index, v.label) for v in variants] == [(0, "goal")]
 
     def test_asymptotic_jobs_are_portfolio_jobs(self):
         jobs = bench_jobs(("asym_is_empty",))
@@ -124,7 +112,10 @@ class TestDeterminism:
     @pytest.fixture(scope="class")
     def serial_outcome(self):
         runner = BatchScheduler(workers=1)
-        return outcome(runner.run(bench_jobs()))
+        serial = outcome(runner.run(bench_jobs()))
+        # One worker walks the ladder in order: nothing is ever cancelled.
+        assert runner.stats.variants_cancelled == 0
+        return serial
 
     def test_expected_winners_on_serial_ladder(self, serial_outcome):
         winners = {tag: winner for tag, winner, _ in serial_outcome}
@@ -135,15 +126,6 @@ class TestDeterminism:
     def test_racing_matches_serial_byte_for_byte(self, workers, serial_outcome):
         runner = BatchScheduler(workers=workers)
         assert outcome(runner.run(bench_jobs())) == serial_outcome
-
-    def test_gate_off_matches_racing_byte_for_byte(self, serial_outcome, monkeypatch):
-        monkeypatch.setenv("REPRO_PORTFOLIO", "off")
-        assert not portfolio_enabled()
-        runner = BatchScheduler(workers=2)
-        results = runner.run(bench_jobs())
-        assert outcome(results) == serial_outcome
-        # Gate off means a sequential ladder: nothing raced, nothing cancelled.
-        assert runner.stats.variants_cancelled == 0
 
     def test_crash_on_variants_does_not_change_the_outcome(self, serial_outcome):
         # Every variant's first attempt dies mid-job; retries recover.  The
