@@ -13,7 +13,7 @@ For every (benchmark, mode) pair the report records
   version of the code exposes them via ``SynthesisResult.stats``).
 
 The report also carries a top-level ``counters`` block aggregating the
-integer-LIA-core and VSIDS metrics across all rows (scaling cache traffic,
+integer-LIA-core and VSIDS metrics across all rows (LIA cache traffic,
 Fourier-Motzkin eliminations and tightenings, unsat-core counts/sizes/probes,
 SAT decisions/conflicts/bumps and learned-clause deletions) so the perf
 trajectory of the solver internals is tracked alongside wall-clock, and a
@@ -41,7 +41,7 @@ byte-identical between the race and the serial walk.
 to wall-clock as the code-size trajectory (reported, never guarded).
 ``intern_nodes`` is the number of hash-consed term nodes alive after the
 serial loop (``repro.logic.terms.intern_nodes``), tracked as the term layer's
-memory trajectory (reported, never guarded).
+memory trajectory; ``check_regression.py`` guards it as a ceiling.
 
 ``benchmarks/check_regression.py`` compares a fresh report against the
 committed one (CI fails on >25% wall-clock regression or any program drift).
@@ -92,8 +92,6 @@ AGGREGATED_COUNTERS = (
     "gate_cache_queries",
     "gate_cache_hits",
     "gate_clauses_reused",
-    "scaling_queries",
-    "scaling_cache_hits",
     "lia_queries",
     "lia_cache_hits",
     "lia_eliminations",

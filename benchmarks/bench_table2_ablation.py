@@ -12,7 +12,7 @@ import pytest
 
 from repro.benchsuite.runner import selected_benchmarks
 from repro.constraints.cegis import CegisSolver
-from repro.constraints.store import ResourceConstraint, linear_template
+from repro.constraints.store import ConstraintStore, ResourceConstraint
 from repro.core import synthesize
 from repro.logic import terms as t
 
@@ -45,7 +45,7 @@ def test_nonincremental_cegis(benchmark, bench):
 
 def _range_constraint_system():
     a, b, nu = t.int_var("a"), t.int_var("b"), t.int_var("_v")
-    template, _ = linear_template((a, b, nu))
+    template, _ = ConstraintStore().linear_template((a, b, nu))
     guard = t.conj(t.neg(a >= b), nu.eq(b))
     return [
         ResourceConstraint(guard, template - (nu - a)),

@@ -19,6 +19,10 @@ report and fails (exit code 1) when
   LIA queries/eliminations/cores, SAT decisions/conflicts, ...) drifts by
   more than the counter tolerance — these are also machine-independent, so
   they catch algorithmic perf regressions that wall-clock noise would hide;
+* ``intern_nodes`` (hash-consed term nodes alive after the serial loop)
+  exceeds the baseline's at all — a ceiling with no tolerance, because a
+  synthesis that leaks fresh names into the term tables grows it (skipped
+  with the counters, and for baselines without the field);
 * when both reports carry a ``phases`` block (traced runs,
   ``REPRO_TRACE=1``), the span *counts* — ``total_spans`` and each phase's
   ``spans`` — drift past the counter tolerance.  The blocks' wall-clock
@@ -135,6 +139,11 @@ def main() -> int:
                 f"counter regression: {name} {base_value} -> {fresh_value} "
                 f"(tolerance {args.counter_tolerance:.2f}x)"
             )
+    base_nodes = None if args.no_counters else baseline.get("intern_nodes")
+    if base_nodes is not None and fresh.get("intern_nodes", 0) > base_nodes:
+        failures.append(
+            f"intern-node ceiling exceeded: {base_nodes} -> {fresh.get('intern_nodes')}"
+        )
 
     # PBE suite (reports since the PBE front-end landed): programs are guarded
     # byte-identically like the Table 1 rows, per-row eterm_checks like the

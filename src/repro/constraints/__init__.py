@@ -6,9 +6,7 @@ from repro.constraints.store import (
     ConstraintStore,
     ResourceConstraint,
     coefficients_in,
-    fresh_coefficient_var,
     is_coefficient,
-    linear_template,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,7 +9,10 @@ coefficients (from linear templates for unknown potential annotations).
 The synthesizer type-checks candidate programs incrementally; the
 :class:`ConstraintStore` therefore supports ``push``/``pop`` checkpoints so a
 rejected partial program's constraints can be rolled back cheaply while the
-CEGIS solver keeps its accumulated solution and examples (Algorithm 1).
+CEGIS solver keeps its accumulated solution and examples (Algorithm 1).  The
+store also names the unknown coefficients (``C!0``, ``C!1``, ...), so each
+synthesis numbers its own from zero and a repeated synthesis builds the same
+terms as the first.
 """
 
 from __future__ import annotations
@@ -19,20 +22,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 from repro.logic import terms as t
-from repro.logic.terms import Term
-
-
 from repro.logic.sorts import INT
+from repro.logic.terms import Term
 
 #: Prefix of unknown coefficient variables introduced by linear templates.
 COEFF_PREFIX = "C!"
-
-_coeff_counter = itertools.count()
-
-
-def fresh_coefficient_var() -> t.Var:
-    """A fresh unknown coefficient variable (sort INT)."""
-    return t.Var(f"{COEFF_PREFIX}{next(_coeff_counter)}", INT)
 
 
 def is_coefficient(name: str) -> bool:
@@ -43,22 +37,6 @@ def is_coefficient(name: str) -> bool:
 def coefficients_in(term: Term) -> frozenset[str]:
     """Unknown coefficient variables occurring in a term."""
     return frozenset(name for name in t.free_vars(term) if is_coefficient(name))
-
-
-def linear_template(scope_vars: Tuple[Term, ...]) -> Tuple[Term, List[t.Var]]:
-    """Build a linear template ``C0 + C1*x1 + ... + Cn*xn`` over scope variables.
-
-    Returns the template term and the list of fresh coefficient variables, in
-    the order ``[C0, C1, ..., Cn]``.  This is the template shape described in
-    Sec. 4.2 ("we can replace each unknown term with a linear template").
-    """
-    coeffs = [fresh_coefficient_var()]
-    template: Term = coeffs[0]
-    for var in scope_vars:
-        coeff = fresh_coefficient_var()
-        coeffs.append(coeff)
-        template = template + t.Mul(coeff, var)
-    return template, coeffs
 
 
 @dataclass(frozen=True)
@@ -102,6 +80,29 @@ class ConstraintStore:
     """An append-only store of resource constraints with checkpointing."""
 
     constraints: List[ResourceConstraint] = field(default_factory=list)
+    #: Numbers this store's coefficients.  :meth:`pop` never rewinds it, so a
+    #: name is never reused within the store's lifetime.
+    _coefficients: Iterator[int] = field(default_factory=itertools.count, init=False, repr=False)
+
+    def fresh_coefficient(self) -> t.Var:
+        """A fresh unknown coefficient variable (sort INT)."""
+        return t.Var(f"{COEFF_PREFIX}{next(self._coefficients)}", INT)
+
+    def linear_template(self, scope_vars: Tuple[Term, ...]) -> Tuple[Term, List[t.Var]]:
+        """Build a linear template ``C0 + C1*x1 + ... + Cn*xn`` over scope variables.
+
+        Returns the template term and the list of fresh coefficient variables,
+        in the order ``[C0, C1, ..., Cn]``.  This is the template shape
+        described in Sec. 4.2 ("we can replace each unknown term with a linear
+        template").
+        """
+        coeffs = [self.fresh_coefficient()]
+        template: Term = coeffs[0]
+        for var in scope_vars:
+            coeff = self.fresh_coefficient()
+            coeffs.append(coeff)
+            template = template + t.Mul(coeff, var)
+        return template, coeffs
 
     def add(self, constraint: ResourceConstraint) -> None:
         self.constraints.append(constraint)

@@ -215,7 +215,7 @@ class Synthesizer:
         The solver/encoder/CEGIS stats are per-instance and therefore per-run
         (including the shared Tseitin gate-cache traffic of the incremental
         encoder: ``gate_cache_queries``/``gate_cache_hits``/
-        ``gate_cache_hit_rate``/``gate_clauses_reused``); the LIA/SAT/scaling
+        ``gate_cache_hit_rate``/``gate_clauses_reused``); the LIA/SAT
         counters are process-wide (:func:`repro.smt.solver.theory_counters`),
         so they are reported as the :func:`repro.smt.solver.delta` over this
         run: feasibility-cache traffic, Fourier-Motzkin eliminations/
@@ -228,7 +228,6 @@ class Synthesizer:
         report.update(deltas)
         lia_queries = deltas["lia_queries"]
         lia_hits = deltas["lia_cache_hits"]
-        scaling_queries = deltas["scaling_queries"]
         cores = deltas["lia_cores"]
         report.update(
             {
@@ -237,9 +236,6 @@ class Synthesizer:
                 "subtype_queries": self.checker.stats.subtype_queries,
                 "resource_constraints": self.checker.stats.resource_constraints,
                 "lia_cache_hit_rate": round(lia_hits / lia_queries, 4) if lia_queries else 0.0,
-                "scaling_cache_hit_rate": round(
-                    deltas["scaling_cache_hits"] / scaling_queries, 4
-                ) if scaling_queries else 0.0,
                 "lia_avg_core_size": round(
                     deltas["lia_core_size_total"] / cores, 4
                 ) if cores else 0.0,

@@ -59,6 +59,21 @@ def _status(result: JobResult) -> str:
     return "ok"
 
 
+def _json_row(result: JobResult) -> dict:
+    """One ``run --json`` result row; asymptotic jobs also name the winning rung."""
+    row = {
+        "tag": result.tag,
+        "fingerprint": result.fingerprint,
+        "status": _status(result),
+        "seconds": result.seconds,
+        "program": result.program_text,
+    }
+    portfolio = (result.record or {}).get("stats", {}).get("portfolio")
+    if portfolio is not None:
+        row["winner"] = portfolio.get("winner")
+    return row
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     modes = args.modes.split(",") if args.modes else None
@@ -148,16 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "spec": args.spec,
             "scheduler": stats.as_dict(),
             "cache": cache.stats.as_dict() if cache else None,
-            "results": [
-                {
-                    "tag": r.tag,
-                    "fingerprint": r.fingerprint,
-                    "status": _status(r),
-                    "seconds": r.seconds,
-                    "program": r.program_text,
-                }
-                for r in results
-            ],
+            "results": [_json_row(r) for r in results],
         }
         with open(args.json, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

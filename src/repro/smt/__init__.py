@@ -11,9 +11,6 @@ from repro.smt.solver import (
     Model,
     Solver,
     SolverError,
-    check_sat,
-    check_valid,
-    default_solver,
     theory_counters,
 )
 
@@ -30,7 +27,4 @@ __all__ = [
     "Model",
     "Solver",
     "SolverError",
-    "check_sat",
-    "check_valid",
-    "default_solver",
 ]

@@ -23,16 +23,15 @@ persistent atom table and Tseitin gate cache.  Each formula node's gate
 clauses enter the database once, when the node is first encoded; encoding a
 formula afterwards only collects its root literal, its theory atoms and its
 *cone* (the variables of its clauses and atoms), which the lazy DPLL(T) loop
-in :mod:`repro.smt.solver` solves against.  The preprocessing passes are
-memoized per interned term in bounded module-wide tables, and the facts they
-scan for (data equalities, set atoms, element terms, base sets) are cached
-on the interned nodes themselves, so a shared subterm is walked once.
+in :mod:`repro.smt.solver` solves against.  The preprocessed form of each
+formula is memoized in one bounded module-wide table, and the facts the
+passes scan for (data equalities, set atoms, element terms, base sets) are
+cached on the interned nodes themselves, so a shared subterm is walked once.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -60,8 +59,6 @@ _UNARY_DATA_MEASURES = ("len", "elems", "selems", "size", "telems", "sumlen", "n
 class EncoderStats:
     """Cache counters for the evaluation harness."""
 
-    encode_calls: int = 0
-    encode_cache_hits: int = 0
     #: shared Tseitin gate cache traffic (per formula node, atoms included).
     gate_queries: int = 0
     gate_hits: int = 0
@@ -73,11 +70,7 @@ class EncoderStats:
 
 #: formula -> preprocessed (pre-Tseitin) formula, shared by all encoders.
 _PRE_CACHE: Dict[Term, Term] = {}
-#: per-node memos of the preprocessing passes (pure term -> term maps).
-_ITE_CACHE: Dict[Term, Term] = {}
-_ITE_NUMERIC_CACHE: Dict[Term, Term] = {}
-_NNF_CACHE: Dict[Tuple[Term, bool], Term] = {}
-#: Bound for the module-level caches; cleared wholesale when exceeded.  An
+#: Bound for the preprocessing cache; cleared wholesale when exceeded.  An
 #: encoder's gate cache uses the same bound, and rebuilds its clause
 #: database when it clears.
 _MODULE_CACHE_MAX = 1 << 16
@@ -89,16 +82,6 @@ _MODULE_CACHE_MAX = 1 << 16
 #: clauses); long CEGIS runs such as ``t1_insert_sorted`` and long-lived warm
 #: workers reach it.
 _DATABASE_MAX = 1 << 16
-#: Bound on the per-formula encodings one encoder keeps (an LRU, sized like
-#: the solver's validity cache).
-_FORMULA_CACHE_MAX = 8192
-
-
-def _bounded_store(cache: Dict, key, value) -> None:
-    """Insert into a module cache, clearing it wholesale at the bound."""
-    if len(cache) >= _MODULE_CACHE_MAX:
-        cache.clear()
-    cache[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +109,9 @@ def _preprocess(formula: Term) -> Term:
             result = _nnf(result, positive=True)
             result = _ground_sets(result, fresh)
             result = simplify(result)
-    _bounded_store(_PRE_CACHE, formula, result)
+    if len(_PRE_CACHE) >= _MODULE_CACHE_MAX:
+        _PRE_CACHE.clear()
+    _PRE_CACHE[formula] = result
     return result
 
 
@@ -187,12 +172,12 @@ class IncrementalEncoder:
     structure — is *replayed*: replay collects its atoms and cone and adds no
     variable and no clause.
 
-    The database stays bounded, and with it memory and per-solve cost: the
-    per-formula encodings are an LRU of :data:`_FORMULA_CACHE_MAX` entries,
-    and when the database reaches :data:`_DATABASE_MAX` clauses or the gate
-    cache :data:`_MODULE_CACHE_MAX` nodes, the gate cache, the encodings, the
-    clause database and the SAT solver are all started afresh.  The atom
-    table is kept.
+    The database stays bounded, and with it memory and per-solve cost: when
+    it reaches :data:`_DATABASE_MAX` clauses or the gate cache
+    :data:`_MODULE_CACHE_MAX` nodes, the gate cache, the clause database and
+    the SAT solver are all started afresh.  The atom table is kept.  A
+    formula encoded again replays its gates; the solver's model cache
+    answers most repeats before they reach the encoder.
     """
 
     def __init__(self) -> None:
@@ -201,7 +186,6 @@ class IncrementalEncoder:
         #: global atom tables (var -> atom), across all formulas.
         self.linear_atoms: Dict[int, LinExpr] = {}
         self.bool_atoms: Dict[int, Term] = {}
-        self._cache: "OrderedDict[Term, FormulaEncoding]" = OrderedDict()
         #: shared Tseitin gate cache: preprocessed node -> gate entry.
         self._gate_cache: Dict[Term, _GateEntry] = {}
         self.stats = EncoderStats()
@@ -217,29 +201,17 @@ class IncrementalEncoder:
         self.cnf.num_vars = self._counter
         return self._counter
 
-    def forget_formulas(self) -> None:
-        """Drop the per-formula encodings, keeping atoms and gates (tests)."""
-        self._cache.clear()
-
     def encode(self, formula: Term) -> FormulaEncoding:
-        self.stats.encode_calls += 1
-        cache = self._cache
-        cached = cache.get(formula)
-        if cached is not None:
-            cache.move_to_end(formula)
-            self.stats.encode_cache_hits += 1
-            return cached
         with trace.span("smt.encode") as sp:
             # Bound the database and gate cache *between* formula builds only:
             # mid-build eviction could orphan a parent entry whose children
-            # are gone.  The gates, encodings and theory lemmas all speak
-            # about the database's clauses, so they go together.
+            # are gone.  The gates and theory lemmas both speak about the
+            # database's clauses, so they go together.
             if (
                 len(self.cnf.clauses) >= _DATABASE_MAX
                 or len(self._gate_cache) >= _MODULE_CACHE_MAX
             ):
                 self._gate_cache.clear()
-                cache.clear()
                 self._new_database()
                 self.stats.database_resets += 1
             clauses_before = len(self.cnf.clauses)
@@ -254,9 +226,6 @@ class IncrementalEncoder:
                 )
             if sp:
                 sp.count("clauses", len(self.cnf.clauses) - clauses_before)
-        cache[formula] = encoding
-        if len(cache) > _FORMULA_CACHE_MAX:
-            cache.popitem(last=False)
         return encoding
 
 
@@ -276,15 +245,7 @@ class _FreshNames:
 
 
 def _eliminate_ite(term: Term) -> Term:
-    """Remove ``Ite`` nodes by case-splitting the enclosing atom (memoized)."""
-    result = _ITE_CACHE.get(term)
-    if result is None:
-        result = _eliminate_ite_uncached(term)
-        _bounded_store(_ITE_CACHE, term, result)
-    return result
-
-
-def _eliminate_ite_uncached(term: Term) -> Term:
+    """Remove ``Ite`` nodes by case-splitting the enclosing atom."""
     if isinstance(term, t.Ite) and term.sort == BOOL:
         return _eliminate_ite(
             t.disj(
@@ -292,10 +253,7 @@ def _eliminate_ite_uncached(term: Term) -> Term:
                 t.conj(t.neg(term.cond), term.else_branch),
             )
         )
-    if isinstance(term, (t.And, t.Or)):
-        rebuilt = t._rebuild(term, tuple(_eliminate_ite(a) for a in term.children()))
-        return rebuilt
-    if isinstance(term, (t.Not, t.Implies, t.Iff)):
+    if isinstance(term, (t.And, t.Or, t.Not, t.Implies, t.Iff)):
         return t._rebuild(term, tuple(_eliminate_ite(a) for a in term.children()))
     if isinstance(term, t.SetAll):
         return t.SetAll(term.var, _eliminate_ite_numeric(term.set_term), _eliminate_ite(term.body))
@@ -317,11 +275,7 @@ def _eliminate_ite_numeric(term: Term) -> Term:
     children = term.children()
     if not children:
         return term
-    result = _ITE_NUMERIC_CACHE.get(term)
-    if result is None:
-        result = t._rebuild(term, tuple(_eliminate_ite_numeric(c) for c in children))
-        _bounded_store(_ITE_NUMERIC_CACHE, term, result)
-    return result
+    return t._rebuild(term, tuple(_eliminate_ite_numeric(c) for c in children))
 
 
 def _find_numeric_ite(term: Term) -> Optional[t.Ite]:
@@ -416,15 +370,6 @@ def _measure_equalities(left: Term, right: Term, apps: frozenset[t.App]) -> Term
 
 
 def _nnf(term: Term, positive: bool) -> Term:
-    key = (term, positive)
-    result = _NNF_CACHE.get(key)
-    if result is None:
-        result = _nnf_uncached(term, positive)
-        _bounded_store(_NNF_CACHE, key, result)
-    return result
-
-
-def _nnf_uncached(term: Term, positive: bool) -> Term:
     if isinstance(term, t.Not):
         return _nnf(term.arg, not positive)
     if isinstance(term, t.And):

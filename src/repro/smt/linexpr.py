@@ -31,24 +31,6 @@ from typing import Dict, Hashable, Mapping, Tuple
 Key = Hashable
 
 
-#: Cached canonical sort key per variable key.  Keys are strings or interned
-#: refinement terms; ``repr`` on a term rebuilds its string every call, and
-#: the encoder normalizes thousands of comparisons per query, so the memo
-#: turns the canonical ordering into a dictionary lookup.
-_KEY_ORDER_CACHE: Dict[Key, str] = {}
-_KEY_ORDER_CACHE_MAX = 1 << 16
-
-
-def _key_order(key: Key) -> str:
-    order = _KEY_ORDER_CACHE.get(key)
-    if order is None:
-        order = repr(key)
-        if len(_KEY_ORDER_CACHE) >= _KEY_ORDER_CACHE_MAX:
-            _KEY_ORDER_CACHE.clear()
-        _KEY_ORDER_CACHE[key] = order
-    return order
-
-
 @dataclass(frozen=True)
 class LinExpr:
     """The affine expression ``(const_num + sum(nums[k] * k)) / den``.
@@ -57,7 +39,7 @@ class LinExpr:
     expressions compare and hash equal — the atom table and the feasibility
     cache rely on this):
 
-    * ``nums`` is sorted by the canonical key order (:func:`_key_order`) with
+    * ``nums`` is sorted by the canonical key order (the keys' ``repr``) with
       no zero numerators;
     * ``den`` is positive;
     * the joint GCD of all numerators, the constant numerator and ``den`` is
@@ -94,7 +76,7 @@ class LinExpr:
                 items.append((k, v))
                 if type(v) is Fraction:
                     den = den * v.denominator // math.gcd(den, v.denominator)
-        items.sort(key=lambda kv: _key_order(kv[0]))
+        items.sort(key=lambda kv: repr(kv[0]))
         if den == 1:
             return LinExpr(tuple((k, int(v)) for k, v in items), int(constant), 1)
         nums = tuple(
@@ -185,7 +167,7 @@ class LinExpr:
                 i += 1
                 j += 1
                 continue
-            order_a, order_b = _key_order(ka), _key_order(kb)
+            order_a, order_b = repr(ka), repr(kb)
             if order_a == order_b:
                 # Distinct keys with colliding reprs: canonical order is
                 # ambiguous, fall back to the dict-based slow path.
@@ -308,19 +290,9 @@ def _coerce(value: "LinExpr | int | Fraction") -> LinExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScalingStats:
-    """Counters for the integer-scaling memo (read by the harness)."""
-
-    queries: int = 0
-    cache_hits: int = 0
-
-
 #: With the int-backed representation, scaling is a trivial accessor: the
 #: numerators *are* the integer form up to one GCD pass.  The result is
-#: memoized on the expression instance; the counters keep the historical
-#: cache-traffic telemetry alive for the harness.
-scaling_stats = ScalingStats()
+#: memoized on the expression instance.
 IntForm = Tuple[Tuple[Tuple[Key, int], ...], int]
 
 
@@ -337,10 +309,8 @@ def int_form(expr: "LinExpr") -> IntForm:
     Results are memoized per expression instance; callers must treat the
     returned tuples as read-only.
     """
-    scaling_stats.queries += 1
     cached = expr.__dict__.get("_int_form")
     if cached is not None:
-        scaling_stats.cache_hits += 1
         return cached
     nums = expr.nums
     const_num = expr.const_num

@@ -2,7 +2,7 @@
 
 This is the component that stands in for Z3 in the paper's tool chain: the
 type checker and the CEGIS loop discharge their queries
-through :func:`check_sat` / :func:`check_valid`.
+through :meth:`Solver.check_sat` / :meth:`Solver.check_valid`.
 
 The solver enumerates Boolean models of the Tseitin skeleton produced by
 :mod:`repro.smt.encoder` and checks each model's asserted linear atoms for
@@ -42,9 +42,9 @@ removes propagation.
 The pipeline is *incremental* across queries (the property the paper's
 T-NInc ablation shows to matter, Table 2):
 
-* formulas are encoded once and re-solved against the shared database, so
-  repeated queries skip encoding and every query sees every theory lemma
-  learned before it over its atoms;
+* formula nodes are encoded once and re-solved against the shared database,
+  so a repeated subformula adds no clauses and every query sees every
+  theory lemma learned before it over its atoms;
 * validity results and satisfying models are memoized per interned formula in
   bounded LRU caches, with hit/miss counters on :class:`SolverStats`.
 
@@ -68,7 +68,14 @@ from repro.smt import lia
 from repro.smt import sat
 from repro.smt.encoder import FormulaEncoding, IncrementalEncoder
 from repro.smt.lia import BudgetExceeded, check_integer_feasible
-from repro.smt.linexpr import Constraint, LinExpr, scaling_stats
+from repro.smt.linexpr import Constraint, LinExpr
+
+
+#: DPLL(T) rounds one query may take before it gives up with SolverError.
+_THEORY_ITERATIONS_MAX = 2000
+#: Bounds of the per-solver validity and model LRU caches.
+_VALID_CACHE_MAX = 8192
+_MODEL_CACHE_MAX = 8192
 
 
 class SolverError(Exception):
@@ -128,18 +135,10 @@ class SolverStats:
 class Solver:
     """Satisfiability and validity checking for refinement formulas."""
 
-    def __init__(
-        self,
-        max_theory_iterations: int = 2000,
-        valid_cache_size: int = 8192,
-        model_cache_size: int = 8192,
-    ) -> None:
-        self.max_theory_iterations = max_theory_iterations
+    def __init__(self) -> None:
         self.stats = SolverStats()
         self._valid_cache: "OrderedDict[Term, bool]" = OrderedDict()
-        self._valid_cache_size = valid_cache_size
         self._model_cache: "OrderedDict[Term, Optional[Model]]" = OrderedDict()
-        self._model_cache_size = model_cache_size
         self._encoder = IncrementalEncoder()
         #: atom var -> negated linear atom (``expr >= 1`` as ``-expr+1 <= 0``).
         #: Atom vars are unique per encoder, so memoizing the negation keeps
@@ -164,7 +163,7 @@ class Solver:
             with trace.span("smt.solve"):
                 result = self._solve(encoding)
         self._model_cache[formula] = result
-        if len(self._model_cache) > self._model_cache_size:
+        if len(self._model_cache) > _MODEL_CACHE_MAX:
             self._model_cache.popitem(last=False)
         return result
 
@@ -179,7 +178,7 @@ class Solver:
         self.stats.validity_queries += 1
         result = self.check_sat(t.neg(formula)) is None
         self._valid_cache[formula] = result
-        if len(self._valid_cache) > self._valid_cache_size:
+        if len(self._valid_cache) > _VALID_CACHE_MAX:
             self._valid_cache.popitem(last=False)
         return result
 
@@ -203,8 +202,6 @@ class Solver:
             "model_cache_hits": stats.model_cache_hits,
             "model_cache_misses": stats.model_cache_misses,
             "lemmas_learned": stats.lemmas_learned,
-            "encode_calls": enc.encode_calls,
-            "encode_cache_hits": enc.encode_cache_hits,
             "gate_queries": enc.gate_queries,
             "gate_hits": enc.gate_hits,
             "gate_clauses_reused": enc.gate_clauses_reused,
@@ -229,8 +226,8 @@ class Solver:
     def cache_report(self, since: Optional[Dict[str, int]] = None) -> Dict[str, float]:
         """Query counts and hit rates of every cache layer (for harnesses).
 
-        Covers the per-instance counters only; the process-wide LIA/SAT/
-        scaling counters are snapshotted via :func:`theory_counters` and
+        Covers the per-instance counters only; the process-wide LIA/SAT
+        counters are snapshotted via :func:`theory_counters` and
         reported as per-run deltas by the synthesis harness.
 
         ``since`` — a :meth:`counters_snapshot` taken earlier — scopes the
@@ -256,7 +253,6 @@ class Solver:
             "model_cache_hit_rate": rate(
                 d["model_cache_hits"], d["model_cache_hits"] + d["model_cache_misses"]
             ),
-            "encode_cache_hit_rate": rate(d["encode_cache_hits"], d["encode_calls"]),
             "gate_cache_queries": d["gate_queries"],
             "gate_cache_hits": d["gate_hits"],
             "gate_cache_hit_rate": rate(d["gate_hits"], d["gate_queries"]),
@@ -271,7 +267,7 @@ class Solver:
         database = self._encoder.cnf
         assumptions = (encoding.root,)
         cone = encoding.cone
-        for _ in range(self.max_theory_iterations):
+        for _ in range(_THEORY_ITERATIONS_MAX):
             self.stats.sat_solves += 1
             with trace.span("sat.solve") as sat_span:
                 if sat_span:
@@ -351,19 +347,17 @@ class Solver:
 
 
 def theory_counters() -> Dict[str, float]:
-    """Snapshot of the process-wide SMT counters (LIA, SAT, integer scaling).
+    """Snapshot of the process-wide SMT counters (LIA and SAT).
 
     One flat dictionary under the exact key names ``SynthesisResult.stats``
-    and the ``counters`` block of ``BENCH_synthesis.json`` have always used:
-    integer-scaling cache traffic, Fourier-Motzkin eliminations and
-    tightenings, unsat-core counts/sizes/probes, and the SAT engine's
-    decision/conflict/VSIDS/learned-clause activity and clause ingestion.
+    and the ``counters`` block of ``BENCH_synthesis.json`` use: LIA cache
+    traffic, Fourier-Motzkin eliminations and tightenings, unsat-core
+    counts/sizes/probes, and the SAT engine's decision/conflict/VSIDS/
+    learned-clause activity and clause ingestion.
     All counters are monotonically increasing, so a per-run report is the
     :func:`delta` of two snapshots (see ``Synthesizer._collect_stats``).
     """
     return {
-        "scaling_queries": scaling_stats.queries,
-        "scaling_cache_hits": scaling_stats.cache_hits,
         "lia_queries": lia.stats.queries,
         "lia_cache_hits": lia.stats.cache_hits,
         "lia_eliminations": lia.stats.eliminations,
@@ -391,25 +385,3 @@ def delta(before: Mapping[str, float], after: Mapping[str, float]) -> Dict[str, 
 #: Sentinel distinguishing "cached None" from "not cached" in the model cache.
 _MISSING = object()
 
-
-#: A module-level default solver, shared by code that does not need
-#: per-instance statistics.
-_DEFAULT_SOLVER: Optional[Solver] = None
-
-
-def default_solver() -> Solver:
-    """The shared solver instance."""
-    global _DEFAULT_SOLVER
-    if _DEFAULT_SOLVER is None:
-        _DEFAULT_SOLVER = Solver()
-    return _DEFAULT_SOLVER
-
-
-def check_sat(formula: Term) -> Optional[Model]:
-    """Module-level convenience wrapper around :meth:`Solver.check_sat`."""
-    return default_solver().check_sat(formula)
-
-
-def check_valid(formula: Term) -> bool:
-    """Module-level convenience wrapper around :meth:`Solver.check_valid`."""
-    return default_solver().check_valid(formula)

@@ -27,13 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.constraints.cegis import CegisSolver
-from repro.constraints.store import (
-    ConstraintStore,
-    ResourceConstraint,
-    coefficients_in,
-    fresh_coefficient_var,
-    linear_template,
-)
+from repro.constraints.store import ConstraintStore, ResourceConstraint, coefficients_in
 from repro.lang import syntax as s
 from repro.logic import terms as t
 from repro.logic.simplify import is_trivially_true, simplify
@@ -392,7 +386,7 @@ class TypeChecker:
             and self.config.check_termination
             and not self.config.resource_aware
         ):
-            if not self._check_termination(ctx, params, subst):
+            if not self._check_termination(current, params, subst):
                 return None
         result = substitute_in_type(arrow.final_result(), subst)
         assert isinstance(result, RType)
@@ -443,9 +437,9 @@ class TypeChecker:
                 potential: Term = t.ZERO
                 if self.config.resource_aware:
                     if self.config.dependent_templates:
-                        potential, _ = linear_template(tuple(ctx.int_scope_terms()))
+                        potential, _ = self.store.linear_template(tuple(ctx.int_scope_terms()))
                     else:
-                        potential = fresh_coefficient_var()
+                        potential = self.store.fresh_coefficient()
                     # Well-formedness: potential annotations are non-negative
                     # (Sec. 4.3, item (1) of the implementation notes).
                     self._require(

@@ -8,9 +8,7 @@ from repro.constraints.store import (
     ConstraintStore,
     ResourceConstraint,
     coefficients_in,
-    fresh_coefficient_var,
     is_coefficient,
-    linear_template,
 )
 from repro.logic import terms as t
 from repro.semantics.refinements import eval_term
@@ -33,7 +31,7 @@ class TestStore:
         assert len(store) == 1
 
     def test_coefficient_detection(self):
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         assert is_coefficient(c.name)
         assert not is_coefficient("x")
         constraint = ResourceConstraint(t.TRUE, c + x)
@@ -41,7 +39,7 @@ class TestStore:
         assert coefficients_in(constraint.expr) == {c.name}
 
     def test_linear_template_shape(self):
-        template, coeffs = linear_template((x, y))
+        template, coeffs = ConstraintStore().linear_template((x, y))
         assert len(coeffs) == 3
         assert coefficients_in(template) == {c.name for c in coeffs}
 
@@ -70,7 +68,7 @@ class TestCegis:
     @pytest.mark.parametrize("error", [SolverError("budget"), EncodingError("non-linear")])
     def test_undecided_verification_fails_closed(self, error):
         """A verification query the solver cannot decide rejects the system."""
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         constraints = [
             ResourceConstraint(x >= 0, x + c),
             ResourceConstraint(t.TRUE, c - 1),
@@ -80,13 +78,13 @@ class TestCegis:
         assert solver.cache_report()["cegis_undecided"] == 1
 
     def test_unexpected_solver_errors_propagate(self):
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         solver = CegisSolver(solver=_RaisingSolver(TypeError("bug")))
         with pytest.raises(TypeError):
             solver.solve([ResourceConstraint(x >= 0, x + c)])
 
     def test_undecided_counter_is_zero_on_decidable_systems(self):
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         solver = CegisSolver()
         assert solver.solve([ResourceConstraint(x >= 0, x + c)]) is not None
         assert solver.cache_report()["cegis_undecided"] == 0
@@ -100,7 +98,7 @@ class TestCegis:
 
     def test_simple_constant_search(self):
         solver = CegisSolver()
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         # forall x >= 0:  x + C >= 0   and   C - 1 >= 0   =>  C >= 1.
         constraints = [
             ResourceConstraint(x >= 0, x + c),
@@ -111,7 +109,7 @@ class TestCegis:
 
     def test_unsatisfiable_system(self):
         solver = CegisSolver()
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         constraints = [
             ResourceConstraint(t.TRUE, c - 1),      # C >= 1
             ResourceConstraint(t.TRUE, -c),          # C <= 0
@@ -121,7 +119,7 @@ class TestCegis:
     def test_dependent_template_range_example(self):
         """The range constraint system from Sec. 4.2 of the paper."""
         a, b, nu = t.int_var("a"), t.int_var("b"), t.int_var("_v")
-        template, coeffs = linear_template((a, b, nu))
+        template, coeffs = ConstraintStore().linear_template((a, b, nu))
         guard = t.conj(t.neg(a >= b), nu.eq(b))
         # template must cover one unit plus the recursive payment nu - a - 1.
         constraints = [
@@ -140,7 +138,7 @@ class TestCegis:
 
     def test_incremental_keeps_examples(self):
         solver = CegisSolver(incremental=True)
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         solver.solve([ResourceConstraint(x >= 0, c - x + 10)])
         examples_before = len(solver.examples)
         solver.solve([ResourceConstraint(x >= 0, c - x + 10), ResourceConstraint(t.TRUE, c)])
@@ -148,7 +146,7 @@ class TestCegis:
 
     def test_nonincremental_restarts(self):
         solver = CegisSolver(incremental=False)
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         solver.solve([ResourceConstraint(t.TRUE, c - 1)])
         restarts = solver.stats.restarts
         solver.solve([ResourceConstraint(t.TRUE, c - 1)])
@@ -156,7 +154,7 @@ class TestCegis:
 
     def test_equality_constraints(self):
         solver = CegisSolver()
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         constraints = [ResourceConstraint(t.TRUE, c - 3, equality=True)]
         solution = solver.solve(constraints)
         assert solution is not None and solution[c.name] == 3
@@ -171,7 +169,7 @@ class TestCegis:
     @settings(max_examples=20, deadline=None)
     def test_found_coefficients_satisfy_constraints(self, lower, slack):
         solver = CegisSolver()
-        c = fresh_coefficient_var()
+        c = ConstraintStore().fresh_coefficient()
         constraints = [
             ResourceConstraint(t.conj(x >= 0, x <= 10), c - x + slack),
             ResourceConstraint(t.TRUE, c - lower),

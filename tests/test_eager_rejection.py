@@ -22,7 +22,6 @@ from dataclasses import replace
 import pytest
 
 from repro.benchsuite.definitions import benchmark_by_key as table_benchmark
-from repro.constraints.store import fresh_coefficient_var
 from repro.core import SynthesisConfig, Synthesizer
 from repro.core.components import Component, library
 from repro.core.goals import SynthesisGoal
@@ -196,7 +195,7 @@ class TestHeadCheck:
 class TestBlocksNothing:
     def test_unknown_coefficient_in_free_potential(self):
         checker = _checker(_costly())
-        ctx = _ctx(checker).add_free(fresh_coefficient_var())
+        ctx = _ctx(checker).add_free(checker.store.fresh_coefficient())
         before = checker.solver.counters_snapshot()
         assert checker.can_afford(ctx, "costly")
         assert checker.solver.counters_snapshot() == before

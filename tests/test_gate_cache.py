@@ -9,7 +9,6 @@ encoding (same solver verdicts, same per-formula atom maps and cone).
 
 from repro.logic import terms as t
 from repro.logic.sorts import INT
-from repro.smt import encoder as encoder_module
 from repro.smt.encoder import IncrementalEncoder
 from repro.smt.solver import Solver
 
@@ -26,7 +25,7 @@ def _formula(n: int = 3):
 
 class TestGateCache:
     def test_reencoding_same_formula_adds_nothing(self):
-        """Re-encoding an evicted formula replays gates: no new vars/clauses."""
+        """Re-encoding a formula replays its gates: no new vars/clauses."""
         encoder = IncrementalEncoder()
         formula = _formula()
         first = encoder.encode(formula)
@@ -39,9 +38,8 @@ class TestGateCache:
         clause_vars = {abs(lit) for clause in encoder.cnf.clauses for lit in clause}
         assert first.cone == clause_vars | set(first.linear_atoms) | set(first.bool_atoms)
 
-        # Forget the per-formula encoding (as an eviction would) but keep the
-        # shared atom table, gate cache and database; encode the formula again.
-        encoder.forget_formulas()
+        # The encoder keeps no per-formula encodings: encoding the formula
+        # again replays it from the gate cache against the same database.
         second = encoder.encode(formula)
 
         assert second is not first
@@ -54,17 +52,6 @@ class TestGateCache:
         assert encoder.stats.gate_clauses_reused - reused_before == num_clauses
         assert second.linear_atoms == first.linear_atoms
         assert second.bool_atoms == first.bool_atoms
-
-    def test_formula_encodings_are_a_bounded_lru(self, monkeypatch):
-        monkeypatch.setattr(encoder_module, "_FORMULA_CACHE_MAX", 3)
-        encoder = IncrementalEncoder()
-        formulas = [_formula(n) for n in range(1, 6)]
-        for formula in formulas:
-            encoder.encode(formula)
-        assert list(encoder._cache) == formulas[-3:]
-        clauses = len(encoder.cnf.clauses)
-        encoder.encode(formulas[0])  # evicted: replayed from the gate cache
-        assert len(encoder.cnf.clauses) == clauses
 
     def test_shared_subformula_reuses_gates(self):
         """A superformula replays the shared subtree's gates and vars."""

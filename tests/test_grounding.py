@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from cegis_reference import ground_reference, small_coefficient_model_reference
 from repro.benchsuite.definitions import benchmark_by_key as table_benchmark
 from repro.constraints.cegis import CegisSolver, Example, linear_form
-from repro.constraints.store import ResourceConstraint, fresh_coefficient_var
+from repro.constraints.store import ConstraintStore, ResourceConstraint
 from repro.core import SynthesisConfig, Synthesizer
 from repro.logic import terms as t
 from repro.portfolio import compile_ladder
@@ -27,8 +27,9 @@ from repro.portfolio.suite import benchmark_by_key
 from repro.smt.linexpr import Constraint, LinExpr
 from repro.smt.solver import Solver
 
-C1 = fresh_coefficient_var()
-C2 = fresh_coefficient_var()
+_STORE = ConstraintStore()
+C1 = _STORE.fresh_coefficient()
+C2 = _STORE.fresh_coefficient()
 x = t.int_var("x")
 y = t.int_var("y")
 b = t.bool_var("b")

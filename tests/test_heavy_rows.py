@@ -1,7 +1,10 @@
 """Table 1/2 rows that rigid goal type variables made cheap.
 
 A goal's type variable matches only itself, so these polymorphic rows no
-longer enumerate candidates that use an ``Int`` where an ``a`` goes.  Each
+longer enumerate candidates that use an ``Int`` where an ``a`` goes.  The
+baseline cells (``synquid`` is T-NR, ``eac`` is T-EAC) of ``replicate`` and
+``drop`` exist because the termination metric is checked in the context
+that binds the ghosts of non-variable arguments such as ``dec n``.  Each
 row pins its program and its candidate count; nothing here measures
 wall-clock time.  ``range`` still takes seconds and returns no program, so
 it runs only with ``--run-slow``.
@@ -18,17 +21,20 @@ INSERT_SORTED = (
     "(Cons x0 ({name} x xs0)) else xs))))"
 )
 
+REPLICATE = "(fix replicate \\n x . (if (leq n 0) then Nil else (Cons x (replicate (dec n) x))))"
+DROP = (
+    "(fix dropN \\n xs . (if (leq n 0) then xs else (match xs with "
+    "Nil -> impossible | Cons x0 xs0 -> (dropN (dec n) xs0))))"
+)
+
 ROWS = [
     ("t1_insert_sorted", "resyn", INSERT_SORTED.format(name="t1_insert_sorted"), 183),
     ("t1_insert_sorted", "noninc", INSERT_SORTED.format(name="t1_insert_sorted"), 183),
     ("insert_fine", "resyn", INSERT_SORTED.format(name="insert_fine"), 183),
     ("insert_fine", "noninc", INSERT_SORTED.format(name="insert_fine"), 183),
-    (
-        "replicate",
-        "resyn",
-        "(fix replicate \\n x . (if (leq n 0) then Nil else (Cons x (replicate (dec n) x))))",
-        29,
-    ),
+    ("replicate", "resyn", REPLICATE, 29),
+    ("replicate", "synquid", REPLICATE, 29),
+    ("replicate", "eac", REPLICATE, 29),
     (
         "t1_member",
         "resyn",
@@ -36,13 +42,9 @@ ROWS = [
         "(if (eq x x0) then True else (memberOf x xs0))))",
         77,
     ),
-    (
-        "drop",
-        "resyn",
-        "(fix dropN \\n xs . (if (leq n 0) then xs else (match xs with "
-        "Nil -> impossible | Cons x0 xs0 -> (dropN (dec n) xs0))))",
-        67,
-    ),
+    ("drop", "resyn", DROP, 67),
+    ("drop", "synquid", DROP, 67),
+    ("drop", "eac", DROP, 67),
 ]
 
 
@@ -56,6 +58,15 @@ def test_row_program_and_candidates(key, mode, program, candidates):
     result = _run(key, mode)
     assert str(result.program) == program
     assert result.candidates_checked == candidates
+
+
+def test_take_baseline_exhausts_its_search():
+    # `take` needs argument depth 3 (ROADMAP item 1).  The baseline's
+    # termination check sees the ghost bound to `dec n`, so more recursive
+    # calls pass it than when it looked at the context before the arguments.
+    result = _run("take", "synquid")
+    assert result.program is None
+    assert result.candidates_checked == 2308
 
 
 @pytest.mark.slow

@@ -24,6 +24,7 @@ import pytest
 from repro.logic import terms as t
 from repro.logic.simplify import simplify
 from repro.smt import lia
+from repro.smt import solver as solver_module
 from repro.smt.solver import Solver
 
 x = t.int_var("x")
@@ -179,8 +180,9 @@ class TestValidCacheLRU:
         assert solver.stats.valid_cache_hits == 1
         assert solver.stats.valid_cache_hit_rate() == pytest.approx(0.5)
 
-    def test_lru_bound_is_enforced(self):
-        solver = Solver(valid_cache_size=4)
+    def test_lru_bound_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_VALID_CACHE_MAX", 4)
+        solver = Solver()
         formulas = [t.implies(x >= i, x >= i - 1) for i in range(10)]
         for formula in formulas:
             solver.check_valid(formula)
@@ -197,7 +199,6 @@ class TestValidCacheLRU:
         for key in (
             "sat_queries",
             "valid_cache_hit_rate",
-            "encode_cache_hit_rate",
             "lemmas_learned",
         ):
             assert key in report

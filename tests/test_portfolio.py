@@ -233,6 +233,23 @@ class TestCacheIdentity:
         assert job_for_goal(other_ladder, config).fingerprint != base
 
 
+class TestRunJson:
+    def test_rows_name_the_winning_rung(self, tmp_path):
+        from repro.service.__main__ import main as service_main
+
+        with open("specs/asymptotic_suite.json") as handle:
+            spec = json.load(handle)
+        spec["goals"] = [entry for entry in spec["goals"] if entry["key"] == "asym_is_empty"]
+        spec_path = tmp_path / "asym_is_empty.json"
+        spec_path.write_text(json.dumps(spec))
+        report_path = tmp_path / "report.json"
+        argv = ["run", str(spec_path), "-j", "2", "--json", str(report_path)]
+        assert service_main(argv) == 0
+        (row,) = json.loads(report_path.read_text())["results"]
+        assert row["tag"] == "asym_is_empty/resyn"
+        assert row["winner"] == "O(1)[c=1]"
+
+
 class TestCommittedSpec:
     def test_committed_suite_matches_the_generator(self):
         with open("specs/asymptotic_suite.json") as handle:

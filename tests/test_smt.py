@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic import terms as t
 from repro.semantics.refinements import eval_term
-from repro.smt import check_sat, check_valid
 from repro.smt import encoder as encoder_module
 from repro.smt.encoder import EncodingError, IncrementalEncoder, linearize
 from repro.smt.lia import check_integer_feasible
@@ -25,6 +24,16 @@ y = t.int_var("y")
 z = t.int_var("z")
 xs = t.data_var("xs")
 ys = t.data_var("ys")
+
+
+def check_sat(formula):
+    """``formula``'s model on a fresh solver (``None`` when unsatisfiable)."""
+    return Solver().check_sat(formula)
+
+
+def check_valid(formula):
+    """Whether ``formula`` is valid, on a fresh solver."""
+    return Solver().check_valid(formula)
 
 
 class TestLinExpr:
