@@ -119,6 +119,16 @@ def run_goals(
     ``cache=open_cache(path)`` to reuse results across runs.  With
     ``strict=False``, jobs that produced no record (cancelled, crashed,
     hard-timed-out) come back as failure results instead of raising.
+
+    With ``workers > 1`` the pool stays resident between calls: the first
+    call forks ``workers`` workers, later calls with the same worker count,
+    start method, grace and fault plan reuse them, and a different key
+    replaces them.  Each worker keeps its process-wide memos and interned
+    terms (about 23 MB), and every descriptor open in this process when it
+    forked, until the pool is replaced, a run is cancelled or interrupted
+    (which stops the pool), or the interpreter exits.  Every job still gets
+    a fresh solver, so programs do not depend on what a worker ran before,
+    but a record's ``lia_*`` counters do, as they do in the server.
     """
     from repro.service.scheduler import DEFAULT_RETRIES, BatchScheduler
 

@@ -18,6 +18,11 @@ because fault tolerance needs powers ``Pool`` does not grant: killing exactly
 one hung worker, noticing exactly which job died with a crashed one, and
 respawning either without losing the rest of the batch.
 
+Batch runs do not fork a pool per call: each process keeps at most one
+*resident* pool, which :meth:`BatchScheduler.run` takes for a run and gives
+back when the run ends normally, so its workers keep their process-wide
+memos warm across calls (lifecycle and key under :meth:`BatchScheduler.run`).
+
 This module holds the primitives: the job/result types, the worker entry
 point and the :class:`WorkerPool`.  Every scheduling decision on top of them
 — retries with backoff, poison verdicts, cache, dedup, portfolio ladders,
@@ -32,10 +37,12 @@ kill.
 
 from __future__ import annotations
 
+import atexit
 import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -425,17 +432,31 @@ class _Worker:
         self.proc.join(timeout=5.0)
         self.conn.close()
 
-    def stop(self) -> None:
-        """Orderly shutdown; escalates to kill if the worker won't exit."""
+    def request_stop(self) -> None:
+        """Send the shutdown sentinel (first half of an orderly stop)."""
         try:
             self.conn.send(None)
         except (OSError, ValueError):
             pass
-        self.proc.join(timeout=1.0)
+
+    def finish_stop(self, deadline: float) -> None:
+        """Wait for the exit until ``deadline``, then escalate to terminate."""
+        self.proc.join(timeout=max(deadline - time.monotonic(), 0.0))
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout=5.0)
         self.conn.close()
+
+
+def _pool_context(start_method: Optional[str] = None):
+    """The multiprocessing context pools use: ``start_method``, else fork.
+
+    fork is dramatically cheaper (no re-import per worker) and the synthesis
+    pipeline is single-threaded, so it is the default wherever it exists.
+    """
+    if start_method is None and "fork" in multiprocessing.get_all_start_methods():
+        start_method = "fork"
+    return multiprocessing.get_context(start_method)
 
 
 @dataclass
@@ -464,9 +485,10 @@ class PoolEvent:
 class WorkerPool:
     """A supervised pool of long-lived synthesis workers.
 
-    A long-running server (:mod:`repro.service.serve`) keeps one pool
+    A long-running server (:mod:`repro.service.serve`) keeps its own pool
     resident across requests — preserving each worker's warm solver state —
-    while the batch scheduler creates one per run.  The pool owns process
+    and batch runs share the process's one resident batch pool
+    (:meth:`BatchScheduler.run`).  The pool owns process
     lifecycle only: spawn (the ``pool.spawn`` fault point), dispatch, crash
     detection, parent-enforced hard deadlines, kill + respawn.  Retry
     budgets, poison verdicts and result bookkeeping belong to the
@@ -476,14 +498,9 @@ class WorkerPool:
     def __init__(self, size: int, ctx=None, grace: float = DEFAULT_GRACE) -> None:
         if size < 1:
             raise ValueError("pool size must be positive")
-        if ctx is None:
-            # fork is dramatically cheaper (no re-import per worker) and the
-            # synthesis pipeline is single-threaded, so it is safe here.
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-            ctx = multiprocessing.get_context(method)
         self.size = size
         self.grace = grace
-        self._ctx = ctx
+        self._ctx = ctx if ctx is not None else _pool_context()
         self._workers: List[_Worker] = []
         self._idle: List[_Worker] = []
         self._active: Dict[_Worker, _Active] = {}
@@ -493,8 +510,9 @@ class WorkerPool:
         #: Replacement workers spawned after a loss, cumulative.
         self.rebuilds = 0
         #: Workers deliberately killed to cancel their job (portfolio losers),
-        #: cumulative.  Kept separate from ``kills``: a cancel is scheduler
-        #: intent, not a failure, so it must not feed poison verdicts.
+        #: cumulative; each is replaced, but neither the kill nor the
+        #: replacement is failure traffic (``kills``/``rebuilds``), so a
+        #: cancel never feeds poison verdicts or fault counters.
         self.cancels = 0
         #: Partial busy seconds charged to workers retired mid-job, by PID.
         self.busy_charges: Dict[int, float] = {}
@@ -537,7 +555,7 @@ class WorkerPool:
         return len(self._workers)
 
     def _retire(self, worker: _Worker, charge_started: Optional[float]) -> None:
-        """Remove a lost worker, charging its partial busy time."""
+        """Replace a lost worker, charging its partial busy time."""
         if charge_started is not None:
             self.busy_charges[worker.pid] = self.busy_charges.get(worker.pid, 0.0) + max(
                 time.monotonic() - charge_started, 0.0
@@ -546,14 +564,16 @@ class WorkerPool:
             self._workers.remove(worker)
         worker.kill()
         self.kills += 1
+        if self._respawn():
+            self.rebuilds += 1
 
-    def _respawn(self) -> None:
+    def _respawn(self) -> bool:
         worker = self._try_spawn()
         if worker is None:
-            return
+            return False
         self._workers.append(worker)
         self._idle.append(worker)
-        self.rebuilds += 1
+        return True
 
     def dispatch(self, token: object, payload: dict, soft_timeout: Optional[float]) -> bool:
         """Send ``payload`` to an idle worker.
@@ -567,7 +587,6 @@ class WorkerPool:
             worker.conn.send(payload)
         except (OSError, ValueError):
             self._retire(worker, charge_started=None)
-            self._respawn()
             return False
         now = time.monotonic()
         deadline = now + soft_timeout + self.grace if soft_timeout is not None else None
@@ -578,9 +597,10 @@ class WorkerPool:
         """Kill the worker executing ``token`` and spawn a replacement.
 
         Used by the supervisor to reclaim a worker from a losing portfolio
-        variant the moment a higher-priority variant succeeds.  The kill is
-        counted under :attr:`cancels` (not :attr:`kills`) and no event is
-        emitted for the token — the caller already decided the job's fate.
+        variant the moment a higher-priority variant succeeds.  The kill and
+        its replacement are counted under :attr:`cancels` (not :attr:`kills`
+        or :attr:`rebuilds`) and no event is emitted for the token — the
+        caller already decided the job's fate.
         Returns ``False`` if ``token`` is not currently active.
         """
         for worker, entry in list(self._active.items()):
@@ -627,7 +647,6 @@ class WorkerPool:
                 exitcode = worker.exitcode
                 pid = worker.pid
                 self._retire(worker, charge_started=entry.started)
-                self._respawn()
                 events.append(
                     PoolEvent("crash", entry.token, f"worker crashed (exit {exitcode})", pid)
                 )
@@ -644,7 +663,6 @@ class WorkerPool:
                 del self._active[worker]
                 pid = worker.pid
                 self._retire(worker, charge_started=entry.started)
-                self._respawn()
                 events.append(
                     PoolEvent(
                         "hang",
@@ -656,12 +674,86 @@ class WorkerPool:
         return events, ready_extra
 
     def stop(self) -> None:
-        """Orderly shutdown of every worker (escalates to kill per worker)."""
-        for worker in list(self._workers):
-            worker.stop()
+        """Orderly shutdown of every worker, in parallel.
+
+        The sentinel goes to every worker before any is joined, so shutdown
+        waits for the slowest worker rather than for the sum of them.  A
+        worker still running a job (a cancelled run) is terminated at once:
+        its result would be discarded anyway.  Stragglers past the shared
+        deadline are escalated to terminate.
+        """
+        workers = list(self._workers)
+        for worker in workers:
+            worker.request_stop()
+        for worker in self._active:
+            worker.proc.terminate()
+        deadline = time.monotonic() + 1.0
+        for worker in workers:
+            worker.finish_stop(deadline)
         self._workers.clear()
         self._idle.clear()
         self._active.clear()
+
+
+# ---------------------------------------------------------------------------
+# The resident batch pool: one slot per process
+# ---------------------------------------------------------------------------
+
+#: The idle resident pool and its key, or None.  A run *takes* the pool out
+#: of the slot, so a run on another thread finds the slot empty and builds a
+#: private pool: no pool ever serves two runs at once.
+_resident: Optional[Tuple[tuple, WorkerPool]] = None
+_resident_lock = threading.Lock()
+
+
+def _take_pool(key: tuple, size: int, ctx, grace: float) -> WorkerPool:
+    """The resident pool when its key matches, else a freshly started one."""
+    global _resident
+    with _resident_lock:
+        resident, _resident = _resident, None
+    if resident is not None:
+        resident_key, pool = resident
+        if resident_key == key:
+            pool.start()  # replaces workers a failed respawn left missing
+            return pool
+        pool.stop()
+    pool = WorkerPool(size=size, ctx=ctx, grace=grace)
+    pool.start()
+    return pool
+
+
+def _give_back(key: tuple, pool: WorkerPool) -> None:
+    """Park ``pool`` in the slot; a pool that finds the slot full is stopped."""
+    global _resident
+    with _resident_lock:
+        if _resident is None:
+            _resident = (key, pool)
+            return
+    pool.stop()
+
+
+def stop_resident_pool() -> None:
+    """Stop this process's resident batch pool, if it has one.
+
+    Registered with :mod:`atexit`, so an interpreter that ran batches exits
+    with every worker joined.
+    """
+    global _resident
+    with _resident_lock:
+        resident, _resident = _resident, None
+    if resident is not None:
+        resident[1].stop()
+
+
+def _forget_resident() -> None:
+    """In a forked child: the parent's pool is not this process's to use."""
+    global _resident, _resident_lock
+    _resident = None
+    _resident_lock = threading.Lock()
+
+
+atexit.register(stop_resident_pool)
+os.register_at_fork(after_in_child=_forget_resident)
 
 
 class BatchScheduler:
@@ -695,8 +787,7 @@ class BatchScheduler:
         #: in the worker environment vetoes it).  Off by default so batch runs
         #: keep their historical cold-start counters byte-identical.
         self.warm = warm
-        #: None lets the pool pick its default start method.
-        self._ctx = multiprocessing.get_context(start_method) if start_method else None
+        self._ctx = _pool_context(start_method)
         self.stats = SchedulerStats()
         self._cancelled = False
 
@@ -712,6 +803,14 @@ class BatchScheduler:
 
         ``KeyboardInterrupt`` or :meth:`cancel` stops the run: the results
         collected so far come back, the unfinished jobs marked cancelled.
+
+        With ``workers > 1`` the run takes the process's resident pool of
+        ``workers`` workers, keyed by the worker count, the start method,
+        ``grace`` and the active fault plan's spec; a pool with another key
+        is stopped and replaced.  A run that ends normally gives the pool
+        back, so the next run's workers keep their process-wide memos warm;
+        a cancelled, interrupted or raising run stops it.  The kills,
+        rebuilds and utilization in :attr:`stats` are this run's share.
         """
         # Imported here: the supervisor builds on this module's primitives.
         from repro.service.supervisor import Supervisor
@@ -729,24 +828,35 @@ class BatchScheduler:
         groups = [supervisor.submit(job, seq=index) for index, job in enumerate(jobs)]
         busy = supervisor.busy_seconds
         pool = None
+        completed = False
         try:
             if self.workers > 1 and supervisor.queue_depth:
-                # Sized by dispatchable units (ladder rungs), not logical jobs.
-                size = min(self.workers, supervisor.queue_depth)
-                pool = supervisor.pool = WorkerPool(size=size, ctx=self._ctx, grace=self.grace)
-                pool.start()
+                key = (
+                    self.workers,
+                    self._ctx.get_start_method(),
+                    self.grace,
+                    faults.plan().to_spec(),
+                )
+                pool = supervisor.pool = _take_pool(key, self.workers, self._ctx, self.grace)
+                kills, rebuilds, charges = pool.kills, pool.rebuilds, dict(pool.busy_charges)
             while supervisor.busy() and not self._cancelled:
                 supervisor.step()
+            completed = not self._cancelled
         except KeyboardInterrupt:
             self._cancelled = True
         finally:
             supervisor.cancel_all()  # whatever is still open was cancelled
             if pool is not None:
-                self.stats.worker_kills += pool.kills
-                self.stats.pool_rebuilds += pool.rebuilds
+                self.stats.worker_kills += pool.kills - kills
+                self.stats.pool_rebuilds += pool.rebuilds - rebuilds
                 for pid, seconds in pool.busy_charges.items():
-                    busy[pid] = busy.get(pid, 0.0) + seconds
-                pool.stop()
+                    spent = seconds - charges.get(pid, 0.0)
+                    if spent > 0:
+                        busy[pid] = busy.get(pid, 0.0) + spent
+                if completed:
+                    _give_back(key, pool)
+                else:
+                    pool.stop()
         self.stats.wall_seconds = time.perf_counter() - start
         if busy and self.stats.wall_seconds > 0:
             # Label workers w0..wN by sorted PID so the mapping is stable

@@ -1,13 +1,13 @@
 """Long-running synthesis server: asyncio front-ends over a resident pool.
 
-This is the serve path ROADMAP item 1 asks for.  The batch scheduler
-(:mod:`repro.service.scheduler`) creates a worker pool per ``run()`` call and
-tears it down after — every batch pays worker spawn cost and every job pays
-cold-solver cost.  :class:`SynthesisServer` keeps one supervised
-:class:`~repro.service.scheduler.WorkerPool` *resident* for the lifetime of
-the process, so workers accumulate warm solver state (the hash-consed term
-intern table, the Tseitin gate cache, learned theory lemmas, validity/model
-LRUs — see :mod:`repro.service.warm`) across every job of every request.
+This is the serve path ROADMAP item 1 asks for.  Batch runs
+(:mod:`repro.service.scheduler`) reuse one resident pool between calls, but
+every batch job still starts from a fresh solver.  :class:`SynthesisServer`
+keeps its own supervised :class:`~repro.service.scheduler.WorkerPool`
+*resident* for the lifetime of the process, so workers accumulate warm
+solver state (the hash-consed term intern table, the Tseitin gate cache,
+learned theory lemmas, validity/model LRUs — see :mod:`repro.service.warm`)
+across every job of every request.
 
 Architecture — one supervisor thread, any number of front-ends::
 
@@ -439,7 +439,10 @@ async def _stream_jobs(server: SynthesisServer, jobs: List[Job], writer) -> None
     without waiting for EOF.  Self-delimiting framing matters here: workers
     respawned mid-request (crash recovery) fork a copy of the accepted
     socket, so the client would otherwise never observe FIN while a resident
-    worker holds the descriptor.
+    worker holds the descriptor.  The resident batch pool of
+    :meth:`~repro.service.scheduler.BatchScheduler.run` has the same
+    property: a batch worker keeps every descriptor that was open when it
+    forked for as long as it lives, which is now across batch runs.
     """
     loop = asyncio.get_running_loop()
     events: "asyncio.Queue[dict]" = asyncio.Queue()

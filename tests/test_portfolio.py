@@ -9,6 +9,10 @@ wall-clock, never results.
 
 import json
 import multiprocessing
+import os
+import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -18,7 +22,7 @@ from repro.core import SynthesisConfig
 from repro.portfolio import compile_ladder, is_portfolio_job
 from repro.portfolio.suite import asymptotic_benchmarks, asymptotic_spec, benchmark_by_key
 from repro.service import faults
-from repro.service.scheduler import BatchScheduler, job_for_goal
+from repro.service.scheduler import BatchScheduler, WorkerPool, job_for_goal, stop_resident_pool
 from repro.service.specs import jobs_from_spec, load_spec
 
 # Goals cheap enough to race repeatedly (every rung resolves in well under a
@@ -36,6 +40,33 @@ def bench_jobs(keys=FAST_KEYS):
         bench = benchmark_by_key(key)
         jobs.append(job_for_goal(bench.goal, bench_config(bench), tag=key))
     return jobs
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPECS = os.path.join(ROOT, "specs")
+
+
+#: A child interpreter that races one ladder on two workers, then prints the
+#: PIDs of its live children (the resident pool) and exits.
+RACE_AND_EXIT = """
+import multiprocessing
+from dataclasses import replace
+from repro import api
+from repro.portfolio.suite import benchmark_by_key
+bench = benchmark_by_key("asym_length")
+config = replace(api.SynthesisConfig.resyn(), **bench.config_overrides)
+(result,) = api.run_goals([bench.goal], config, workers=2)
+assert result.program is not None
+print(" ".join(str(child.pid) for child in multiprocessing.active_children()))
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def outcome(results):
@@ -138,19 +169,34 @@ class TestDeterminism:
 
 
 class TestCancellation:
-    def test_losers_are_cancelled_and_workers_reclaimed(self):
+    def test_losers_are_cancelled_and_workers_reclaimed(self, monkeypatch):
+        cancelled_pids = []
+        real_cancel = WorkerPool.cancel_token
+
+        def spy_cancel(pool, token):
+            cancelled_pids.extend(
+                worker.pid for worker, entry in pool._active.items() if entry.token is token
+            )
+            return real_cancel(pool, token)
+
+        monkeypatch.setattr(WorkerPool, "cancel_token", spy_cancel)
         runner = BatchScheduler(workers=2)
-        results = runner.run(bench_jobs())
+        spec = load_spec(os.path.join(SPECS, "asymptotic_suite.json"))
+        results = runner.run(jobs_from_spec(spec))
         assert all(result.succeeded for result in results)
         # Races on two workers must have cancelled at least the slack rungs
         # above each winner.
         assert runner.stats.variants_cancelled > 0
         assert runner.stats.variants_raced >= len(results)
-        # Cancellation reclaims the worker: no orphaned variant processes may
-        # survive the batch.
-        deadline = time.monotonic() + 10
-        while multiprocessing.active_children() and time.monotonic() < deadline:
-            time.sleep(0.05)
+        # A cancel is scheduler intent, not failure traffic.
+        assert runner.stats.worker_kills == 0 and runner.stats.pool_rebuilds == 0
+        # Cancellation reclaims the worker: every worker that ran a cancelled
+        # rung is dead, and the only children left are the resident pool's
+        # idle workers, which its shutdown reclaims too.
+        assert cancelled_pids and not any(_alive(pid) for pid in cancelled_pids)
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert len(live) <= 2 and not live & set(cancelled_pids)
+        stop_resident_pool()
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("how", ["keyboard_interrupt", "cancel"])
@@ -158,7 +204,6 @@ class TestCancellation:
         """Ctrl-C (or cancel()) during a pool run of plain and asymptotic jobs
         returns one result per job, the unfinished ones marked cancelled."""
         from conftest import tiny_config, tiny_goal
-        from repro.service.scheduler import WorkerPool
 
         jobs = [job_for_goal(tiny_goal(f"plain{i}"), tiny_config()) for i in range(2)]
         jobs += bench_jobs(("asym_length", "asym_triple"))
@@ -186,6 +231,29 @@ class TestCancellation:
         while multiprocessing.active_children() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not multiprocessing.active_children()
+
+    def test_fault_free_race_reports_no_failure_traffic(self, capsys):
+        from repro.service.__main__ import main as service_main
+
+        spec = os.path.join(SPECS, "asymptotic_suite.json")
+        assert service_main(["run", spec, "-j", "2"]) == 0
+        out = capsys.readouterr().out
+        assert sum(int(count) for count in re.findall(r"(\d+) cancelled", out)) > 0
+        assert "faults survived" not in out
+
+    def test_interpreter_exit_leaves_no_worker(self):
+        """A process that raced a ladder exits promptly, its workers gone."""
+        proc = subprocess.run(
+            [sys.executable, "-c", RACE_AND_EXIT],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
 
     def test_every_variant_is_attributed(self):
         runner = BatchScheduler(workers=2)

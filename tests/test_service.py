@@ -13,15 +13,21 @@ Covers the three pillars of the subsystem:
 """
 
 import json
+import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import pytest
 
+from repro import api
 from repro.benchsuite.definitions import table1_benchmarks, table2_benchmarks
 from repro.benchsuite.runner import benchmark_config, selected_benchmarks
 from repro.core import SynthesisConfig, SynthesisGoal, library, synthesize
 from repro.logic import terms as t
+from repro.service import faults
+from repro.service import scheduler as scheduler_module
 from repro.service.cache import ResultCache
 from repro.service.codec import (
     CodecError,
@@ -36,7 +42,7 @@ from repro.service.codec import (
     term_to_json,
 )
 from repro.service.fingerprint import canonical_json, job_fingerprint
-from repro.service.scheduler import BatchScheduler, job_for_goal
+from repro.service.scheduler import BatchScheduler, job_for_goal, stop_resident_pool
 from repro.service.specs import (
     export_table_spec,
     jobs_from_spec,
@@ -46,7 +52,7 @@ from repro.service.specs import (
 )
 from repro.typing.types import TypeSchema, arrow, bool_type
 
-from conftest import tiny_config, tiny_goal
+from conftest import tiny_config, tiny_goal, tiny_jobs
 
 ALL_BENCHMARKS = table1_benchmarks() + table2_benchmarks()
 
@@ -458,3 +464,103 @@ class TestScheduler:
         (result,) = scheduler.run_goals([tiny_goal()], tiny_config())
         assert result.succeeded
         assert result.goal.name == "isEmpty"
+
+
+# ---------------------------------------------------------------------------
+# The resident batch pool
+# ---------------------------------------------------------------------------
+
+
+def _children():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+class TestResidentPool:
+    def test_consecutive_run_goals_share_the_workers(self):
+        stop_resident_pool()
+        goals = [tiny_goal("reuse0"), tiny_goal("reuse1")]
+        first = api.run_goals(goals, tiny_config(), workers=2)
+        pids = _children()
+        second = api.run_goals(goals, tiny_config(), workers=2)
+        assert len(pids) == 2 and _children() == pids
+        assert [str(r.program) for r in second] == [str(r.program) for r in first]
+        results = BatchScheduler(workers=2).run(tiny_jobs(2))
+        assert {result.worker_pid for result in results} <= pids == _children()
+
+    @pytest.mark.parametrize("change", ["workers", "fault_plan", "start_method"])
+    def test_a_different_key_replaces_the_resident_pool(self, change):
+        if change == "start_method" and "spawn" not in multiprocessing.get_all_start_methods():
+            pytest.skip("spawn start method unavailable")
+        jobs = tiny_jobs(2)
+        BatchScheduler(workers=2).run(jobs)
+        before = _children()
+        options = {"workers": 2}
+        if change == "workers":
+            options["workers"] = 3
+        elif change == "start_method":
+            options["start_method"] = "spawn"
+        else:
+            faults.configure("cache.read_corrupt=1.0")  # inert here: the run has no cache
+        results = BatchScheduler(**options).run(jobs)
+        assert all(result.succeeded for result in results)
+        after = _children()
+        assert len(before) == 2 and len(after) == options["workers"]
+        assert not before & after
+        assert {result.worker_pid for result in results} <= after
+        stop_resident_pool()
+
+    def test_concurrent_runs_never_share_a_pool(self, monkeypatch):
+        """More concurrent runs than cores: every run gets the serial programs
+        and no pool ever serves two runs at once."""
+        threads_n, rounds = 3, 3
+        goals = [tiny_goal("thread0"), tiny_goal("thread1")]
+        serial = [str(r.program) for r in api.run_goals(goals, tiny_config(), workers=1)]
+        real_take, real_give = scheduler_module._take_pool, scheduler_module._give_back
+        lock = threading.Lock()
+        in_use, taken, shared = set(), [], []
+        # The first round's runs all hold a pool at once, so all but one of
+        # them find the slot empty and build a private pool.
+        first_round = threading.Barrier(threads_n, timeout=30)
+
+        def take(*args):
+            pool = real_take(*args)
+            with lock:
+                if pool in in_use:
+                    shared.append(pool)
+                in_use.add(pool)
+                taken.append(pool)
+                first = len(taken) <= threads_n
+            if first:
+                first_round.wait()
+            return pool
+
+        def give_back(key, pool):
+            with lock:
+                in_use.discard(pool)
+            real_give(key, pool)
+
+        monkeypatch.setattr(scheduler_module, "_take_pool", take)
+        monkeypatch.setattr(scheduler_module, "_give_back", give_back)
+        programs = []
+
+        def run():
+            for _ in range(rounds):
+                results = api.run_goals(goals, tiny_config(), workers=2)
+                with lock:
+                    programs.append([str(r.program) for r in results])
+
+        threads = [threading.Thread(target=run) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert programs == [serial] * (threads_n * rounds)
+        assert len(set(taken[:threads_n])) == threads_n and not shared
+        # At most one pool stays parked; every other one was stopped.
+        assert len(_children()) <= 2
