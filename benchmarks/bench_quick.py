@@ -41,10 +41,7 @@ byte-identical between the race and the serial walk.
 to wall-clock as the code-size trajectory (reported, never guarded).
 ``intern_nodes`` is the number of hash-consed term nodes alive after the
 serial loop (``repro.logic.terms.intern_nodes``), tracked as the term layer's
-memory trajectory; ``check_regression.py`` guards it as a ceiling.  The
-serial loop ends with two resyn rows of Table 2 (``GUARD_ROWS``) whose
-templates carry unknown potentials, so the ceiling also covers the names of
-template coefficients.
+memory trajectory; ``check_regression.py`` guards it as a ceiling.
 
 ``benchmarks/check_regression.py`` compares a fresh report against the
 committed one (CI fails on >25% wall-clock regression or any program drift).
@@ -79,7 +76,6 @@ if SRC not in sys.path:
 BENCH_SEED = 20190622
 random.seed(BENCH_SEED)
 
-from repro.benchsuite.definitions import benchmark_by_key  # noqa: E402
 from repro.benchsuite.runner import benchmark_config, selected_benchmarks  # noqa: E402
 from repro.core import synthesize  # noqa: E402
 from repro.logic.terms import intern_nodes  # noqa: E402
@@ -113,50 +109,35 @@ AGGREGATED_COUNTERS = (
 )
 
 
-#: Rows run after the Table 1 subset, which creates no template coefficient.
-#: Both rows do, so the ``intern_nodes`` ceiling sees a coefficient-name
-#: leak: with names numbered per process rather than per synthesis, the
-#: second row interns names the first never made.  They stay out of
-#: ``total_seconds``, which remains the Table 1 subset's serial wall-clock.
-GUARD_ROWS = (("triple", "resyn"), ("triple2", "resyn"))
-
-
 def run_quick() -> dict:
     rows = []
     total = 0.0
     counters = {key: 0 for key in AGGREGATED_COUNTERS}
     trace.reset()
-    cases = [
-        (bench, mode, bench.configs()[mode], True)
-        for bench in selected_benchmarks("table1")
-        for mode in MODES
-    ]
-    for key, mode in GUARD_ROWS:
-        bench = benchmark_by_key(key)
-        cases.append((bench, mode, benchmark_config(bench, mode), False))
-    for bench, mode, config, timed in cases:
-        start = time.perf_counter()
-        result = synthesize(bench.goal, config)
-        seconds = time.perf_counter() - start
-        if timed:
+    for bench in selected_benchmarks("table1"):
+        configs = bench.configs()
+        for mode in MODES:
+            start = time.perf_counter()
+            result = synthesize(bench.goal, configs[mode])
+            seconds = time.perf_counter() - start
             total += seconds
-        rows.append(
-            {
-                "benchmark": bench.key,
-                "mode": mode,
-                "seconds": round(seconds, 4),
-                "succeeded": result.succeeded,
-                "program": str(result.program) if result.program else None,
-                "code_size": result.code_size,
-                "candidates_checked": result.candidates_checked,
-                "cegis_counterexamples": result.cegis_counterexamples,
-                # Populated by the caching pipeline; empty on older versions.
-                "stats": dict(getattr(result, "stats", {}) or {}),
-            }
-        )
-        stats = rows[-1]["stats"]
-        for key in AGGREGATED_COUNTERS:
-            counters[key] += int(stats.get(key, 0))
+            rows.append(
+                {
+                    "benchmark": bench.key,
+                    "mode": mode,
+                    "seconds": round(seconds, 4),
+                    "succeeded": result.succeeded,
+                    "program": str(result.program) if result.program else None,
+                    "code_size": result.code_size,
+                    "candidates_checked": result.candidates_checked,
+                    "cegis_counterexamples": result.cegis_counterexamples,
+                    # Populated by the caching pipeline; empty on older versions.
+                    "stats": dict(getattr(result, "stats", {}) or {}),
+                }
+            )
+            stats = rows[-1]["stats"]
+            for key in AGGREGATED_COUNTERS:
+                counters[key] += int(stats.get(key, 0))
     report = {
         "suite": "table1-fast",
         "modes": list(MODES),

@@ -122,8 +122,8 @@ def run_goals(
 
     With ``workers > 1`` the pool stays resident between calls: the first
     call forks ``workers`` workers, later calls with the same worker count,
-    start method, grace and fault plan reuse them, and a different key
-    replaces them.  Each worker keeps its process-wide memos and interned
+    start method and fault plan reuse them, and a different key replaces
+    them.  Each worker keeps its process-wide memos and interned
     terms (about 23 MB), and every descriptor open in this process when it
     forked, until the pool is replaced, a run is cancelled or interrupted
     (which stops the pool), or the interpreter exits.  Every job still gets

@@ -706,20 +706,22 @@ _resident: Optional[Tuple[tuple, WorkerPool]] = None
 _resident_lock = threading.Lock()
 
 
-def _take_pool(key: tuple, size: int, ctx, grace: float) -> WorkerPool:
-    """The resident pool when its key matches, else a freshly started one."""
+def _take_pool(key: tuple, size: int, ctx) -> WorkerPool:
+    """The resident pool when its key matches, else a new one.
+
+    Either may lack workers (a new pool has none yet, a resident one may
+    have lost some to a failed respawn): the caller starts the pool once it
+    holds it, so an interrupt during the forks still reaches its clean-up.
+    """
     global _resident
     with _resident_lock:
         resident, _resident = _resident, None
     if resident is not None:
         resident_key, pool = resident
         if resident_key == key:
-            pool.start()  # replaces workers a failed respawn left missing
             return pool
         pool.stop()
-    pool = WorkerPool(size=size, ctx=ctx, grace=grace)
-    pool.start()
-    return pool
+    return WorkerPool(size=size, ctx=ctx)
 
 
 def _give_back(key: tuple, pool: WorkerPool) -> None:
@@ -805,12 +807,16 @@ class BatchScheduler:
         collected so far come back, the unfinished jobs marked cancelled.
 
         With ``workers > 1`` the run takes the process's resident pool of
-        ``workers`` workers, keyed by the worker count, the start method,
-        ``grace`` and the active fault plan's spec; a pool with another key
-        is stopped and replaced.  A run that ends normally gives the pool
-        back, so the next run's workers keep their process-wide memos warm;
-        a cancelled, interrupted or raising run stops it.  The kills,
-        rebuilds and utilization in :attr:`stats` are this run's share.
+        ``workers`` workers, keyed by the worker count, the start method and
+        the active fault plan's spec; a pool with another key is stopped and
+        replaced.  (``grace`` only sets the parent-side deadline of each
+        dispatch, so it is not part of the key.)  A run that ends normally
+        gives the pool back, so the next run's workers keep their
+        process-wide memos warm; a cancelled, interrupted or raising run
+        stops it.  The kills, rebuilds and utilization in :attr:`stats` are
+        this run's share.  With ``warm=True`` a resident worker's warm
+        solver also outlives the run: a later run's first job on it counts
+        as reused, and the ``warm_state`` resets and peaks span runs.
         """
         # Imported here: the supervisor builds on this module's primitives.
         from repro.service.supervisor import Supervisor
@@ -828,17 +834,16 @@ class BatchScheduler:
         groups = [supervisor.submit(job, seq=index) for index, job in enumerate(jobs)]
         busy = supervisor.busy_seconds
         pool = None
+        kills = rebuilds = 0
+        charges: Dict[int, float] = {}
         completed = False
         try:
             if self.workers > 1 and supervisor.queue_depth:
-                key = (
-                    self.workers,
-                    self._ctx.get_start_method(),
-                    self.grace,
-                    faults.plan().to_spec(),
-                )
-                pool = supervisor.pool = _take_pool(key, self.workers, self._ctx, self.grace)
+                key = (self.workers, self._ctx.get_start_method(), faults.plan().to_spec())
+                pool = supervisor.pool = _take_pool(key, self.workers, self._ctx)
                 kills, rebuilds, charges = pool.kills, pool.rebuilds, dict(pool.busy_charges)
+                pool.grace = self.grace
+                pool.start()
             while supervisor.busy() and not self._cancelled:
                 supervisor.step()
             completed = not self._cancelled

@@ -2,7 +2,7 @@
 
 This is the serve path ROADMAP item 1 asks for.  Batch runs
 (:mod:`repro.service.scheduler`) reuse one resident pool between calls, but
-every batch job still starts from a fresh solver.  :class:`SynthesisServer`
+by default every batch job still starts from a fresh solver.  :class:`SynthesisServer`
 keeps its own supervised :class:`~repro.service.scheduler.WorkerPool`
 *resident* for the lifetime of the process, so workers accumulate warm
 solver state (the hash-consed term intern table, the Tseitin gate cache,

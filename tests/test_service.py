@@ -509,6 +509,35 @@ class TestResidentPool:
         assert {result.worker_pid for result in results} <= after
         stop_resident_pool()
 
+    def test_a_different_grace_keeps_the_resident_pool(self):
+        """``grace`` only sets each dispatch's parent-side deadline, so a run
+        with another grace reuses the warm workers and applies its own."""
+        jobs = tiny_jobs(2)
+        BatchScheduler(workers=2).run(jobs)
+        before = _children()
+        results = BatchScheduler(workers=2, grace=7.5).run(jobs)
+        assert all(result.succeeded for result in results)
+        assert len(before) == 2 and _children() == before
+        assert scheduler_module._resident[1].grace == 7.5
+        stop_resident_pool()
+
+    def test_interrupt_while_starting_stops_the_pool(self, monkeypatch):
+        """A ``KeyboardInterrupt`` during the forks reaches the run's clean-up:
+        the results come back cancelled and no worker is left behind."""
+        stop_resident_pool()
+        real_start = scheduler_module.WorkerPool.start
+
+        def interrupted_start(pool):
+            real_start(pool)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(scheduler_module.WorkerPool, "start", interrupted_start)
+        scheduler = BatchScheduler(workers=2)
+        results = scheduler.run(tiny_jobs(2))
+        assert all(result.cancelled for result in results)
+        assert scheduler.stats.cancelled == 2
+        assert scheduler_module._resident is None and not _children()
+
     def test_concurrent_runs_never_share_a_pool(self, monkeypatch):
         """More concurrent runs than cores: every run gets the serial programs
         and no pool ever serves two runs at once."""
